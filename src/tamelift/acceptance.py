@@ -28,7 +28,7 @@ from .root_datum import (
     RootDatum,
     build_root_datum,
     is_regular_cochar,
-    pair,
+    root_pairings,
     weyl_group_elements,
 )
 from .tame_reps import (
@@ -285,7 +285,7 @@ def _chamber_companion(datum: RootDatum, lam, rng: random.Random):
     a random perturbation so no root functional can change sign."""
     delta = tuple(rng.randrange(-CHAMBER_COORD_BOUND, CHAMBER_COORD_BOUND + 1)
                   for _ in range(datum.rank))
-    margin = max(abs(pair(datum, alpha, delta)) for alpha in datum.roots)
+    margin = max(abs(v) for v in root_pairings(datum, delta))
     return vec_add(vec_scale(margin + 1, lam), delta)
 
 

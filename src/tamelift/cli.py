@@ -36,7 +36,7 @@ from .root_datum import (
     build_root_datum,
     datum_from_dict,
     datum_to_dict,
-    pair,
+    root_pairings,
     simple_coreflections,
     weyl_from_matrix,
     weyl_from_word,
@@ -136,8 +136,9 @@ def _emit_json(payload) -> None:
 
 
 def _offending_root(datum, cochar):
-    killed = [alpha for alpha in datum.roots
-              if pair(datum, alpha, cochar) == 0]
+    killed = [alpha for alpha, v in zip(datum.roots,
+                                        root_pairings(datum, cochar))
+              if v == 0]
     return max(killed) if killed else None
 
 

@@ -237,7 +237,9 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     else:
         raise ValueError(f"unknown method {method!r}")
     image_count, rem = divmod(n ** rank, xi_ker_count)
-    assert rem == 0
+    if rem:
+        raise InternalConsistencyError(
+            f"kernel count {xi_ker_count} does not divide {n}^{rank}")
     return image_count == ker_count
 
 
@@ -288,7 +290,9 @@ def _sampled_inclusion_check(ker_mat: Mat, xi_bar: Mat, n: int,
     for _ in range(samples):
         y = tuple(stride * rng.randrange(g) for stride, g in strides)
         x = vec_mod(mat_vec(v, y), n)
-        assert vec_mod(mat_vec(ker_mat, x), n) == zero_vec(rank)
+        if vec_mod(mat_vec(ker_mat, x), n) != zero_vec(rank):
+            raise InternalConsistencyError(
+                f"sampled vector {x} is not in the kernel mod {n}")
         if solve_mod(xi_bar, x, n) is None:
             return False
     return True

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ChamberMismatchError
 from .lattice import Vec, vec_add
-from .root_datum import RootDatum, WeylElement, pair, root_permutation
+from .root_datum import RootDatum, WeylElement, root_pairings, root_permutation
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,18 +54,15 @@ class ParabolicType:
 def parabolic_of(datum: RootDatum, cochar: Vec) -> ParabolicType:
     """Split the roots by sign of their pairing with the cocharacter."""
     cochar = tuple(cochar)
-    nonneg, levi, unipotent = [], [], []
-    for i, alpha in enumerate(datum.roots):
-        v = pair(datum, alpha, cochar)
-        if v >= 0:
-            nonneg.append(i)
-            (levi if v == 0 else unipotent).append(i)
+    values = root_pairings(datum, cochar)
+    levi = frozenset(i for i, v in enumerate(values) if v == 0)
+    unipotent = frozenset(i for i, v in enumerate(values) if v > 0)
     return ParabolicType(
         datum=datum,
         defining_cochar=cochar,
-        nonneg_roots=frozenset(nonneg),
-        levi_roots=frozenset(levi),
-        unipotent_roots=frozenset(unipotent),
+        nonneg_roots=levi | unipotent,
+        levi_roots=levi,
+        unipotent_roots=unipotent,
     )
 
 
@@ -77,12 +74,11 @@ def is_proper(p: ParabolicType) -> bool:
 
 def same_parabolic(datum: RootDatum, lam: Vec, mu: Vec) -> bool:
     """Do the two cocharacters induce the same sign pattern on the roots?"""
-    for alpha in datum.roots:
-        a = pair(datum, alpha, lam)
-        b = pair(datum, alpha, mu)
-        if (a >= 0) != (b >= 0) or (a == 0) != (b == 0):
-            return False
-    return True
+    return _signs(root_pairings(datum, lam)) == _signs(root_pairings(datum, mu))
+
+
+def _signs(values: Vec) -> Vec:
+    return tuple((v > 0) - (v < 0) for v in values)
 
 
 def chamber_sum(datum: RootDatum, lam: Vec, mu: Vec) -> Vec:

@@ -91,17 +91,33 @@ def pair(datum: RootDatum, character: Vec, cochar: Vec) -> int:
     return dot(character, mat_vec(datum.pairing, cochar))
 
 
+@lru_cache(maxsize=None)
+def root_functionals(datum: RootDatum) -> Mat:
+    """One integer row per root, in root order: <alpha, y> = row . y for
+    every cocharacter y."""
+    return tuple(_pairing_functional(datum, alpha) for alpha in datum.roots)
+
+
+def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
+    """<alpha, cochar> for every root alpha, in root order."""
+    if len(cochar) != datum.rank:
+        raise ValueError(
+            f"dimension mismatch: expected rank {datum.rank}, "
+            f"got {len(cochar)}")
+    return tuple(sum(a * y for a, y in zip(row, cochar))
+                 for row in root_functionals(datum))
+
+
 def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
     """True when no root pairs to zero with the cocharacter."""
-    return all(pair(datum, alpha, cochar) != 0 for alpha in datum.roots)
+    return 0 not in root_pairings(datum, cochar)
 
 
 @lru_cache(maxsize=None)
 def central_cochar_space(datum: RootDatum) -> Mat:
     """Canonical basis of the rational central directions, i.e. cocharacters
     killed by every root.  Saturated, so a basis over Z as well."""
-    rows = tuple(_pairing_functional(datum, alpha) for alpha in datum.roots)
-    return integer_kernel_basis(rows, datum.rank)
+    return integer_kernel_basis(root_functionals(datum), datum.rank)
 
 
 def _pairing_functional(datum: RootDatum, character: Vec) -> Vec:
@@ -487,8 +503,8 @@ def weyl_from_word(datum: RootDatum, word) -> WeylElement:
 
 def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
     """Validate that an explicit integer matrix is a Weyl group element for
-    the datum: unimodular, permutes the coroots, and its contragredient
-    permutes the roots."""
+    the datum: unimodular, permutes the coroots preserving the pairing, and
+    lies in W rather than only in the automorphism group of the datum."""
     matrix = tuple(tuple(row) for row in matrix)
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise ValueError(f"Weyl matrix must be {datum.rank}x{datum.rank}")
@@ -496,13 +512,32 @@ def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
         raise ValueError("Weyl matrix entries must be integers")
     if det(matrix) not in (1, -1):
         raise ValueError("Weyl matrix is not invertible over Z")
-    coroot_set = set(datum.coroots)
-    images = {mat_vec(matrix, c) for c in datum.coroots}
-    if images != coroot_set:
-        raise ValueError("matrix does not permute the coroot set")
-    w = WeylElement(matrix=matrix, word=None)
-    root_permutation(datum, w)  # raises if the contragredient misbehaves
-    return w
+    # the root permutation raises unless the coroots are permuted with the
+    # pairing preserved
+    if not _descends_to_identity(datum, matrix):
+        raise ValueError(
+            f"matrix is not a Weyl group element of {datum.label}: it "
+            f"preserves the root datum but lies outside W")
+    return WeylElement(matrix=matrix, word=None)
+
+
+def _descends_to_identity(datum: RootDatum, matrix: Mat) -> bool:
+    """Simple-reflection descent: while w sends a simple root alpha to a
+    negative root, replace w by w s_alpha.  Each step removes exactly one
+    positive root from those w sends negative, so the loop ends with w
+    fixing the positive system; w is in W iff that end point is 1."""
+    positive = set(positive_root_indices(datum))
+    gens = simple_coreflections(datum)
+    gen_perms = [_root_permutation_cached(datum, g) for g in gens]
+    perm = _root_permutation_cached(datum, matrix)
+    while True:
+        for k, s in enumerate(datum.simple_roots):
+            if perm[s] not in positive:
+                matrix = mat_mul(matrix, gens[k])
+                perm = tuple(perm[i] for i in gen_perms[k])
+                break
+        else:
+            return matrix == identity_matrix(datum.rank)
 
 
 def weyl_identity(datum: RootDatum) -> WeylElement:
@@ -527,7 +562,8 @@ def _contragredient_cached(datum: RootDatum, matrix: Mat):
 
 def root_action(datum: RootDatum, w: WeylElement, character: Vec) -> Vec:
     """Image of a character under the contragredient of w (so that pairings
-    with w-translated cocharacters are preserved)."""
+    with w-translated cocharacters are preserved).  Exact over Q; the
+    reference for the integer root permutation below."""
     c = _contragredient_cached(datum, w.matrix)
     image = tuple(sum(a * Fraction(x) for a, x in zip(row, character)) for row in c)
     if any(v.denominator != 1 for v in image):
@@ -536,18 +572,31 @@ def root_action(datum: RootDatum, w: WeylElement, character: Vec) -> Vec:
 
 
 @lru_cache(maxsize=None)
+def _coroot_index_map(datum: RootDatum) -> dict:
+    return {c: i for i, c in enumerate(datum.coroots)}
+
+
+@lru_cache(maxsize=None)
 def _root_permutation_cached(datum: RootDatum, matrix: Mat) -> tuple[int, ...]:
-    w = WeylElement(matrix=matrix)
-    index = _root_index_map(datum)
+    # w(alpha)^vee = w(alpha^vee): the image of each coroot names the image
+    # root.  That root must pair with w(y) as alpha pairs with y, i.e. its
+    # functional times the matrix is alpha's functional; the pairing is
+    # nondegenerate, so this pins it down and makes the map injective.
+    index = _coroot_index_map(datum)
+    functionals = root_functionals(datum)
+    columns = tuple(zip(*matrix))
     perm = []
-    for alpha in datum.roots:
-        image = root_action(datum, w, alpha)
-        if image not in index:
+    for i, alpha_v in enumerate(datum.coroots):
+        j = index.get(mat_vec(matrix, alpha_v))
+        if j is None:
             raise ValueError(
-                f"contragredient sends root {alpha} outside the root set")
-        perm.append(index[image])
-    if len(set(perm)) != len(perm):
-        raise ValueError("contragredient is not injective on the root set")
+                f"matrix sends coroot {alpha_v} outside the coroot set")
+        pulled_back = tuple(dot(functionals[j], col) for col in columns)
+        if pulled_back != functionals[i]:
+            raise ValueError(
+                f"matrix does not preserve the pairing at root "
+                f"{datum.roots[i]}")
+        perm.append(j)
     return tuple(perm)
 
 
@@ -560,11 +609,30 @@ def weyl_order(w: WeylElement) -> int:
     return matrix_order(w.matrix)
 
 
-@lru_cache(maxsize=None)
+# datum -> its Weyl group in enumeration order; filled on first full
+# enumeration, whatever limit that call carried
+_WEYL_GROUPS: dict[RootDatum, tuple[WeylElement, ...]] = {}
+
+
 def weyl_group_elements(datum: RootDatum, limit: int = 10000) -> tuple[WeylElement, ...]:
     """Enumerate the full Weyl group by breadth-first closure of the simple
     coreflections.  Deterministic: elements come out in shortest-word order,
-    ties broken by generator index."""
+    ties broken by generator index.  Enumerated once per datum; `limit` is a
+    guard on the group's size, checked against that one enumeration."""
+    elements = _WEYL_GROUPS.get(datum)
+    if elements is None:
+        elements = _WEYL_GROUPS[datum] = _enumerate_weyl_group(datum, limit)
+    if len(elements) > limit:
+        raise _weyl_limit_error(datum, limit)
+    return elements
+
+
+def _weyl_limit_error(datum: RootDatum, limit: int) -> GuardError:
+    return GuardError(
+        f"Weyl group of {datum.label} exceeds enumeration limit {limit}")
+
+
+def _enumerate_weyl_group(datum: RootDatum, limit: int) -> tuple[WeylElement, ...]:
     gens = simple_coreflections(datum)
     ident = identity_matrix(datum.rank)
     seen = {ident: ()}
@@ -579,9 +647,7 @@ def weyl_group_elements(datum: RootDatum, limit: int = 10000) -> tuple[WeylEleme
                     seen[nxt] = word + (i,)
                     new_frontier.append(nxt)
                     if len(seen) > limit:
-                        raise GuardError(
-                            f"Weyl group of {datum.label} exceeds enumeration "
-                            f"limit {limit}")
+                        raise _weyl_limit_error(datum, limit)
         frontier = new_frontier
     elements = [WeylElement(matrix=m, word=w) for m, w in seen.items()]
     elements.sort(key=lambda e: (len(e.word), e.word))

@@ -20,10 +20,11 @@ from .dynamic import (
     normalizer_element_in_parabolic,
     parabolic_of,
 )
-from .errors import GuardError, InvalidPairError
+from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
     Vec,
+    dot,
     identity_matrix,
     in_rational_span,
     mat_pow,
@@ -34,9 +35,9 @@ from .lattice import (
 from .root_datum import (
     RootDatum,
     WeylElement,
-    _pairing_functional,
     central_cochar_space,
-    pair,
+    root_functionals,
+    root_pairings,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
@@ -190,8 +191,9 @@ def inertia_centralizer_roots(datum: RootDatum,
     connected centralizer of the inertia image.  Lexicographically sorted."""
     _require_valid(datum, p)
     n = p.modulus
-    return tuple(alpha for alpha in datum.roots
-                 if pair(datum, alpha, p.vbar) % n == 0)
+    return tuple(alpha for alpha, v in zip(datum.roots,
+                                           root_pairings(datum, p.vbar))
+                 if v % n == 0)
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,14 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     lands in, enumerated directly: all Weyl translates of the standard
     parabolics, kept when w stabilizes them.
 
+    The translates depend only on the datum, so they are built once per
+    datum, on the first oracle call, into a table of the distinct proper
+    parabolics containing the torus.  Each keeps as defining cocharacter a
+    translate u.mu of a standard cocharacter mu; every translate giving the
+    same parabolic is the same cocharacter, because the parabolic's
+    stabilizer in W fixes mu.  A call for a new w then only tests which
+    table entries w's root permutation maps onto themselves.
+
     Only meaningful when the inertia centralizer roots are empty (then any
     parabolic containing the image contains the torus).  Guarded by rank and
     Weyl group size; passing an explicit limit replaces the default guard.
@@ -256,36 +266,45 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
 def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     """One integral defining cocharacter per proper standard parabolic:
     pairing zero on a proper subset of the simple roots, positive outside."""
-    simples = datum.simple_root_vectors()
-    rows = [_pairing_functional(datum, alpha) for alpha in simples]
+    functionals = root_functionals(datum)
+    rows = [functionals[i] for i in datum.simple_roots]
     out = []
-    for keep in itertools.product((0, 1), repeat=len(simples)):
+    for keep in itertools.product((0, 1), repeat=len(rows)):
         if not any(keep):
             continue  # every simple pairs to zero: the whole group, not proper
         rhs = [Fraction(k) for k in keep]
         sol = rational_solve(rows, rhs)
         scale = lcm(*(x.denominator for x in sol)) if sol else 1
         mu = tuple(int(x * scale) for x in sol)
-        for alpha, k in zip(simples, keep):
-            assert (pair(datum, alpha, mu) > 0) == bool(k)
+        if [dot(row, mu) > 0 for row in rows] != [bool(k) for k in keep]:
+            raise InternalConsistencyError(
+                f"standard cocharacter {mu} of {datum.label} does not cut "
+                f"out the simple roots {keep}")
         out.append(mu)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _torus_parabolics(datum: RootDatum, limit: int) -> tuple[ParabolicType, ...]:
+    """Every proper parabolic containing the torus, once each, in order of
+    first appearance among the translates u.mu."""
+    seen = set()
+    found = []
+    for mu in _standard_parabolic_cochars(datum):
+        for u in weyl_group_elements(datum, limit):
+            candidate = parabolic_of(datum, u.apply(mu))
+            if candidate.nonneg_roots not in seen:
+                seen.add(candidate.nonneg_roots)
+                found.append(candidate)
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)
 def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
                               limit: int) -> tuple[ParabolicType, ...]:
     w = WeylElement(matrix=w_matrix)
-    seen = set()
-    found = []
-    for mu in _standard_parabolic_cochars(datum):
-        for u in weyl_group_elements(datum, limit):
-            candidate = parabolic_of(datum, u.apply(mu))
-            if candidate.nonneg_roots in seen:
-                continue
-            seen.add(candidate.nonneg_roots)
-            if normalizer_element_in_parabolic(datum, w, candidate):
-                found.append(candidate)
+    found = [candidate for candidate in _torus_parabolics(datum, limit)
+             if normalizer_element_in_parabolic(datum, w, candidate)]
     found.sort(key=lambda c: tuple(sorted(c.nonneg_roots)))
     return tuple(found)
 

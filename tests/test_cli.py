@@ -217,6 +217,17 @@ def test_invalid_inputs_exit_1(tmp_path, capsys):
     assert "cannot be combined" in err
 
 
+def test_weyl_matrix_outside_w_exits_1(capsys):
+    # -I preserves the GL2 datum but is not in its Weyl group
+    code, out, err = run(["irreducible", "--group", "GL2", "--q", "3",
+                          "--f", "2", "--vbar", "2,4",
+                          "--w", "[[-1,0],[0,-1]]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: matrix is not a Weyl group element of GL2: it "
+                   "preserves the root datum but lies outside W\n")
+
+
 def test_invalid_pair_exits_2(capsys):
     code, _, err = run(["lift", "--group", "GL2", "--q", "3", "--f", "2",
                         "--w", "s0", "--vbar", "1,5"], capsys)

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from tamelift.errors import DatumValidationError
+from tamelift.errors import DatumValidationError, GuardError
 from tamelift.root_datum import (
+    WeylElement,
     build_root_datum,
     central_cochar_space,
     datum_from_dict,
@@ -350,3 +351,60 @@ def test_gl_weyl_elements_are_permutation_matrices():
     datum = general_linear(3)
     for w in weyl_group_elements(datum):
         assert sorted(w.matrix) == sorted(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_integer_root_permutation_matches_contragredient():
+    # the Fraction contragredient stays as the reference for the integer
+    # coroot permutation
+    for name in ["GL3", "SL3", "GL4", "Sp4", "SO5", "G2"]:
+        datum = build_root_datum(name)
+        for w in weyl_group_elements(datum):
+            via_action = tuple(datum.root_index(root_action(datum, w, alpha))
+                               for alpha in datum.roots)
+            assert root_permutation(datum, w) == via_action
+
+
+def test_weyl_from_matrix_accepts_every_weyl_element():
+    for name in ["GL1", "GL2", "GL3", "GL4", "SL2", "SL3", "SL4", "Sp4",
+                 "Sp6", "SO5", "SO6", "SO7", "G2"]:
+        datum = build_root_datum(name)
+        for w in weyl_group_elements(datum):
+            assert weyl_from_matrix(datum, w.matrix) == w
+
+
+def test_weyl_from_matrix_rejects_datum_automorphisms_outside_w():
+    diagram = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))  # x -> -w0(x)
+    for name, matrix in [("GL1", ((-1,),)),
+                         ("GL2", ((-1, 0), (0, -1))),
+                         ("GL3", ((-1, 0, 0), (0, -1, 0), (0, 0, -1))),
+                         ("GL3", diagram)]:
+        datum = build_root_datum(name)
+        # each matrix permutes the roots preserving the pairing ...
+        assert sorted(root_permutation(datum, WeylElement(matrix))) == list(
+            range(len(datum.roots)))
+        # ... but is not a product of simple reflections
+        with pytest.raises(ValueError, match="not a Weyl group element"):
+            weyl_from_matrix(datum, matrix)
+
+
+def test_root_permutation_checks_the_pairing():
+    gl2 = build_root_datum("GL2")
+    shear = ((2, 1), (-1, 0))  # fixes the coroot (1, -1), moves its root
+    with pytest.raises(ValueError, match="does not preserve the pairing"):
+        root_permutation(gl2, WeylElement(shear))
+    with pytest.raises(ValueError, match="does not preserve the pairing"):
+        weyl_from_matrix(gl2, shear)
+
+
+def test_weyl_group_enumerated_once_per_datum():
+    gl3 = build_root_datum("GL3")
+    fresh = make_root_datum(gl3.rank, gl3.roots, gl3.coroots, gl3.pairing,
+                            gl3.simple_roots, label="GL3/enumeration-test")
+    with pytest.raises(GuardError, match="exceeds enumeration limit 5"):
+        weyl_group_elements(fresh, 5)
+    elements = weyl_group_elements(fresh, 6)
+    assert len(elements) == 6
+    assert weyl_group_elements(fresh) is elements
+    assert weyl_group_elements(fresh, 1152) is elements
+    with pytest.raises(GuardError, match="exceeds enumeration limit 5"):
+        weyl_group_elements(fresh, 5)

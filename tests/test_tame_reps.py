@@ -19,7 +19,10 @@ from tamelift.root_datum import (
     weyl_identity,
 )
 from tamelift.tame_reps import (
+    ORACLE_WEYL_CAP,
     TameInertialPair,
+    _stable_proper_parabolics,
+    _standard_parabolic_cochars,
     brute_force_parabolic_oracle,
     check_weyl_order,
     inertia_centralizer_roots,
@@ -205,6 +208,38 @@ def test_oracle_guard_and_override():
     found = brute_force_parabolic_oracle(gl5, p, limit=200)
     assert found
     assert not is_G_irreducible(gl5, p)
+
+
+def reference_stable_parabolics(datum, w, limit):
+    """The oracle's former per-w scan: every Weyl translate of every
+    standard parabolic, deduplicated as met, kept when w stabilizes it."""
+    seen = set()
+    found = []
+    for mu in _standard_parabolic_cochars(datum):
+        for u in weyl_group_elements(datum, limit):
+            candidate = parabolic_of(datum, u.apply(mu))
+            if candidate.nonneg_roots in seen:
+                continue
+            seen.add(candidate.nonneg_roots)
+            if normalizer_element_in_parabolic(datum, w, candidate):
+                found.append(candidate)
+    found.sort(key=lambda c: tuple(sorted(c.nonneg_roots)))
+    return found
+
+
+def parabolic_record(par):
+    return (par.defining_cochar, sorted(par.nonneg_roots),
+            sorted(par.levi_roots), sorted(par.unipotent_roots))
+
+
+def test_parabolic_table_matches_per_w_scan():
+    for name in ["GL3", "SL3", "GL4", "Sp4", "SO5", "G2"]:
+        datum = build_root_datum(name)
+        for w in weyl_group_elements(datum):
+            table = _stable_proper_parabolics(datum, w.matrix, ORACLE_WEYL_CAP)
+            reference = reference_stable_parabolics(datum, w, ORACLE_WEYL_CAP)
+            assert [parabolic_record(par) for par in table] == \
+                [parabolic_record(par) for par in reference], (name, w.word)
 
 
 def test_criterion_matches_oracle_small_sweep():
