@@ -7,7 +7,9 @@ reproduce the golden fixtures and verification sweeps.
 Results go to stdout, diagnostics to stderr.  Output is deterministic: the
 same flags (and seed, where one applies) give byte-identical stdout.  Exit
 codes: 0 success, 1 invalid input, 2 a validation or requested check
-failed, 3 an enumeration guard tripped, 4 an internal re-check failed.
+failed, 3 an enumeration guard tripped, 4 an internal re-check failed or
+any other unexpected error occurred (one `error:` line, no traceback unless
+--verbose).
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import difflib
 import json
 import os
 import sys
+import traceback
 
 from .acceptance import DEFAULT_SEED, run_all, run_selected
 from .crystalline_lift import lift_inertia, lift_to_dict, reduction
@@ -458,6 +461,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: report it as an internal failure
+        if args.verbose:
+            traceback.print_exc()
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

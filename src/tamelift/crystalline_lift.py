@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -30,6 +31,7 @@ from .lattice import (
     mat_vec,
     smith_normal_form,
     solve_mod,
+    solve_mod_smith,
     vec_add,
     vec_mod,
     zero_vec,
@@ -159,27 +161,60 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
     return total
 
 
-def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
-    """Construct a Frobenius-equivariant tuple reducing to vbar.
+@dataclass(frozen=True)
+class _LiftPlan:
+    """What every lift of one (datum, w, q, f) shares."""
 
-    Solves the averaged congruence for a slot-0 seed, then averages it;
-    soundness of the output is re-verified before returning.
-    """
-    _require_valid(datum, p)
-    rank = datum.rank
-    if mat_pow(p.w.matrix, p.f) != identity_matrix(rank):
+    modulus: int
+    xi_smith: tuple[Mat, Mat, Mat]  # Smith form of averaged_scale_matrix
+    slot_matrices: tuple[Mat, ...]  # w^((f-1-j) mod f)
+
+    def slots(self, x: Vec) -> tuple[Vec, ...]:
+        """xi of the tuple with x in slot 0 and zeros elsewhere: its slot j
+        is slot_matrices[j] . x, f products instead of f^2."""
+        return tuple(mat_vec(m, x) for m in self.slot_matrices)
+
+
+@lru_cache(maxsize=None)
+def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
+    """Built on the first lift of a configuration; raises, and so caches
+    nothing, unless w^f is the identity."""
+    ident = identity_matrix(datum.rank)
+    powers = [ident]
+    for _ in range(f):
+        powers.append(mat_mul(powers[-1], w_matrix))
+    if powers[f] != ident:
         raise LiftHypothesisError(
             f"lifting requires the Weyl element's f-th power to be the "
-            f"identity (f={p.f})")
-    n = p.modulus
-    xi_bar = averaged_scale_matrix(p.w.matrix, p.q, p.f)
-    x = solve_mod(xi_bar, p.vbar, n)
+            f"identity (f={f})")
+    return _LiftPlan(
+        modulus=q ** f - 1,
+        xi_smith=smith_normal_form(averaged_scale_matrix(w_matrix, q, f)),
+        slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
+    )
+
+
+def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
+    """Validate the pair, then solve the averaged congruence for the slot-0
+    seed x; returns the configuration's plan and x."""
+    _require_valid(datum, p)
+    plan = _lift_plan(datum, p.w.matrix, p.q, p.f)
+    x = solve_mod_smith(plan.xi_smith, p.vbar, plan.modulus)
     if x is None:
         raise InternalConsistencyError(
             "averaged congruence has no solution for a compatible pair")
-    seed_slots = [x] + [zero_vec(rank) for _ in range(p.f - 1)]
-    seed = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=tuple(seed_slots))
-    v = xi_operator(p.w, seed)
+    return plan, x
+
+
+def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
+    """Construct a Frobenius-equivariant tuple reducing to vbar.
+
+    Solves the averaged congruence for a slot-0 seed x, then averages it:
+    slot j is w^((f-1-j) mod f) . x, read off the configuration's cached
+    plan.  Soundness of the output is re-verified before returning.
+    """
+    plan, x = _solve_seed(datum, p)
+    v = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=plan.slots(x))
     kernel_ok = kernel_membership(p.w, v)
     reduction_ok = reduction(v) == p.vbar
     if not (kernel_ok and reduction_ok):

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crystalline_lift import (
     CrysCharTuple,
     LiftResult,
+    _lift_plan,
+    _solve_seed,
     kernel_membership,
-    lift_inertia,
     reduction,
-    xi_operator,
 )
 from .errors import InternalConsistencyError, MultisetDivisionError
-from .lattice import Vec, vec_add, vec_neg, vec_scale, zero_vec
-from .root_datum import RootDatum, is_regular_cochar
+from .lattice import Mat, Vec, vec_add, vec_neg, vec_scale, zero_vec
+from .root_datum import RootDatum, is_regular_cochar, root_pairings
 from .tame_reps import TameInertialPair
 
 
@@ -98,39 +99,70 @@ class RegularLiftResult(LiftResult):
     seed_multiplier: int
 
 
+@dataclass(frozen=True)
+class _RegularPlan:
+    """What every regularization of one (datum, w, q, f) shares, for the
+    averaged canonical seed: slot j of xi(seed) is M_j . s, with M_j the
+    lift plan's slot matrix and s `canonical_regular_cochar`."""
+
+    seed_slots: tuple[Vec, ...]  # M_j . s
+    seed_pairings: tuple[Vec, ...]  # <alpha, M_j . s> per root; never 0
+
+
+@lru_cache(maxsize=None)
+def _regular_plan(datum: RootDatum, w_matrix: Mat, q: int,
+                  f: int) -> _RegularPlan:
+    seed_slots = _lift_plan(datum, w_matrix, q, f).slots(
+        canonical_regular_cochar(datum))
+    return _RegularPlan(
+        seed_slots=seed_slots,
+        seed_pairings=tuple(root_pairings(datum, a) for a in seed_slots),
+    )
+
+
 def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
     """Hodge-Tate regular lift with the same reduction.
 
     Adds C . N times the averaged seed to the base lift, for the smallest
     C >= 0 making every colabel regular.  The averaged seed's slots are
-    Weyl translates of a regular cocharacter, hence themselves regular, so
-    each root kills at most one C per colabel and the search terminates.
+    Weyl translates of a regular cocharacter, hence themselves regular:
+    root alpha pairs with slot j of the sum as P + C . N . A, where P and
+    A are its pairings with the base slot and the seed slot and A is never
+    0.  So each (root, slot) forbids at most one C, namely -P / (N . A)
+    when that is a nonnegative integer, and C is the least value none
+    forbids, found in closed form rather than by trying one C after
+    another.  The returned tuple's kernel condition, reduction and
+    regularity are re-verified.
     """
-    base = lift_inertia(datum, p)
-    seed = regular_seed(datum, p.q, p.f, 0, canonical_regular_cochar(datum))
-    averaged = xi_operator(p.w, seed)
-    step = p.modulus
-    for c in range(len(datum.roots) * p.f + 2):
-        slots = tuple(
-            vec_add(s, vec_scale(c * step, a))
-            for s, a in zip(base.tuple.slots, averaged.slots))
-        candidate = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
-        if not is_ht_regular(datum, ht_type(candidate)):
-            continue
-        kernel_ok = kernel_membership(p.w, candidate)
-        reduction_ok = reduction(candidate) == p.vbar
-        if not (kernel_ok and reduction_ok):
-            raise InternalConsistencyError(
-                "regularized lift failed re-verification")
-        return RegularLiftResult(
-            tuple=candidate,
-            kernel_checked=kernel_ok,
-            reduction_checked=reduction_ok,
-            regular=True,
-            seed_multiplier=c,
-        )
-    raise InternalConsistencyError(
-        "regularization search exhausted its termination bound")
+    lift, x = _solve_seed(datum, p)
+    plan = _regular_plan(datum, p.w.matrix, p.q, p.f)
+    step = lift.modulus
+    base = lift.slots(x)
+    forbidden = set()
+    for slot, seed_pairings in zip(base, plan.seed_pairings):
+        for base_pairing, a in zip(root_pairings(datum, slot), seed_pairings):
+            c, rem = divmod(-base_pairing, step * a)
+            if not rem and c >= 0:
+                forbidden.add(c)
+    c = 0
+    while c in forbidden:
+        c += 1
+    slots = tuple(vec_add(b, vec_scale(c * step, a))
+                  for b, a in zip(base, plan.seed_slots))
+    candidate = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
+    kernel_ok = kernel_membership(p.w, candidate)
+    reduction_ok = reduction(candidate) == p.vbar
+    if not (kernel_ok and reduction_ok
+            and is_ht_regular(datum, ht_type(candidate))):
+        raise InternalConsistencyError(
+            "regularized lift failed re-verification")
+    return RegularLiftResult(
+        tuple=candidate,
+        kernel_checked=kernel_ok,
+        reduction_checked=reduction_ok,
+        regular=True,
+        seed_multiplier=c,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,15 @@ def solve_mod(a: Mat, b: Vec, n: int) -> Vec | None:
         raise ValueError(f"dimension mismatch: {len(b)} vs {m}")
     if n == 1:
         return zero_vec(cols)
-    d, u, v = smith_normal_form(a)
+    return solve_mod_smith(smith_normal_form(a), b, n)
+
+
+def solve_mod_smith(snf: tuple[Mat, Mat, Mat], b: Vec, n: int) -> Vec | None:
+    """`solve_mod` for a matrix given by its Smith form (d, u, v), as
+    `smith_normal_form` returns it; for callers that solve against one
+    matrix many times."""
+    d, u, v = snf
+    m, cols = len(u), len(v)
     c = mat_vec(u, b)
     y = [0] * cols
     for i in range(min(m, cols)):

@@ -47,6 +47,24 @@ class RootDatum:
     simple_roots: tuple[int, ...]  # indices into roots, in Dynkin order
     label: str = "custom"
 
+    def __hash__(self) -> int:
+        # every per-datum lru_cache lookup hashes the datum, so hash its
+        # fields once; the value lives outside the dataclass fields and so
+        # outside __eq__ and repr
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank, self.roots, self.coroots, self.pairing,
+                      self.simple_roots, self.label))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: never carry one over
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def root_index(self, root: Vec) -> int:
         try:
             return _root_index_map(self)[tuple(root)]
@@ -200,7 +218,8 @@ def _check_axioms(datum: RootDatum) -> None:
         functional = _pairing_functional(datum, alpha)
         images = set()
         for beta in datum.roots:
-            image = tuple(b - pair(datum, beta, alpha_v) * a for b, a in zip(beta, alpha))
+            c = pair(datum, beta, alpha_v)
+            image = tuple(b - c * a for b, a in zip(beta, alpha))
             if image not in root_pos:
                 bad("reflection-closure",
                     f"reflection in {alpha} sends {beta} outside the root set")

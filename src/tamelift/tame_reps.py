@@ -63,6 +63,10 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
+def _is_strict_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TameInertialPair:
     """The tuple (q, f, vbar, w); vbar is stored reduced to [0, N)."""
@@ -73,6 +77,14 @@ class TameInertialPair:
     w: WeylElement
 
     def __post_init__(self):
+        # floats equal to integers hash alike, so one would otherwise share
+        # (and could fill) every cache keyed on q or f
+        for name, value in (("q", self.q), ("f", self.f)):
+            if not _is_strict_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_strict_int(x) for x in self.vbar):
+            raise ValueError(
+                f"vbar entries must be integers, got {tuple(self.vbar)!r}")
         if not is_prime_power(self.q):
             raise ValueError(f"q must be a prime power >= 2, got {self.q}")
         if self.f < 1:

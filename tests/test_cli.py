@@ -217,6 +217,32 @@ def test_invalid_inputs_exit_1(tmp_path, capsys):
     assert "cannot be combined" in err
 
 
+def test_pair_file_float_q_exits_1(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"group": "GL2", "q": 3.0, "f": 2,
+                                "vbar": [1, 3], "weyl_word": [0]}))
+    code, out, err = run(["lift", "--pair-file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: q must be an integer, got 3.0\n"
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    import tamelift.cli as cli
+
+    def broken(args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_lift", broken)
+    code, out, err = run(["lift", *GL2_PAIR], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: internal TypeError: boom\n"
+    code, _, err = run(["lift", *GL2_PAIR, "--verbose"], capsys)
+    assert code == 4
+    assert err.startswith("Traceback")
+    assert err.endswith("error: internal TypeError: boom\n")
+
+
 def test_weyl_matrix_outside_w_exits_1(capsys):
     # -I preserves the GL2 datum but is not in its Weyl group
     code, out, err = run(["irreducible", "--group", "GL2", "--q", "3",

@@ -5,8 +5,14 @@ import random
 
 import pytest
 
+import tamelift.crystalline_lift as crystalline_lift
+import tamelift.hodge_tate as hodge_tate
+from tamelift.acceptance import _lift_sweep
 from tamelift.crystalline_lift import (
+    CrysCharTuple,
+    averaged_scale_matrix,
     kernel_membership,
+    lift_inertia,
     make_crys_tuple,
     reduction,
     xi_operator,
@@ -33,7 +39,16 @@ from tamelift.hodge_tate import (
     regular_lift,
     regular_seed,
 )
-from tamelift.lattice import identity_matrix, mat_pow, mat_vec, vec_mod
+from tamelift.lattice import (
+    identity_matrix,
+    mat_pow,
+    mat_vec,
+    solve_mod,
+    vec_add,
+    vec_mod,
+    vec_scale,
+    zero_vec,
+)
 from tamelift.root_datum import (
     build_root_datum,
     weyl_from_word,
@@ -151,6 +166,76 @@ def test_regular_lift_sweep():
                         assert reduction(result.tuple) == p.vbar
                         assert is_ht_regular(datum, ht_type(result.tuple))
                         assert 0 <= result.seed_multiplier <= 4
+
+
+# ---------------------------------------------------------------------------
+# reference lift and regularization: the general averaging operator and a
+# scan over C, the specification of the cached-plan, closed-form versions
+
+def reference_lift(datum, p):
+    n = p.modulus
+    x = solve_mod(averaged_scale_matrix(p.w.matrix, p.q, p.f), p.vbar, n)
+    seed = CrysCharTuple(datum=datum, q=p.q, f=p.f,
+                         slots=(x,) + (zero_vec(datum.rank),) * (p.f - 1))
+    return xi_operator(p.w, seed)
+
+
+def reference_regular_lift(datum, p):
+    base = reference_lift(datum, p)
+    seed = regular_seed(datum, p.q, p.f, 0, canonical_regular_cochar(datum))
+    averaged = xi_operator(p.w, seed)
+    for c in range(len(datum.roots) * p.f + 2):
+        slots = tuple(vec_add(s, vec_scale(c * p.modulus, a))
+                      for s, a in zip(base.slots, averaged.slots))
+        candidate = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
+        if is_ht_regular(datum, ht_type(candidate)):
+            return slots, c
+    raise AssertionError("scan exhausted its bound")
+
+
+def test_plan_lifts_match_the_reference_on_the_lift_sweep():
+    rng = random.Random(6)
+    multipliers = []
+    for _, datum, q, f, w in _lift_sweep():
+        n = q ** f - 1
+        xi_bar = averaged_scale_matrix(w.matrix, q, f)
+        vbars = [zero_vec(datum.rank)] + [
+            vec_mod(mat_vec(xi_bar, [rng.randrange(n)
+                                     for _ in range(datum.rank)]), n)
+            for _ in range(2)]
+        for vbar in vbars:
+            p = make_pair(datum, q, f, vbar, w)
+            label = (datum.label, q, f, w.matrix, vbar)
+            assert lift_inertia(datum, p).tuple == \
+                reference_lift(datum, p), label
+            result = regular_lift(datum, p)
+            assert (result.tuple.slots, result.seed_multiplier) == \
+                reference_regular_lift(datum, p), label
+            multipliers.append(result.seed_multiplier)
+    assert len(multipliers) == 156 * 3
+    assert 0 < multipliers.count(0) < len(multipliers)
+
+
+def test_lifts_reuse_one_plan_per_configuration():
+    gl3 = build_root_datum("GL3")
+    p = make_pair(gl3, 5, 3, (0, 0, 0), weyl_from_word(gl3, [0, 1]))
+    regular_lift(gl3, p)
+    lift_before = crystalline_lift._lift_plan.cache_info()
+    regular_before = hodge_tate._regular_plan.cache_info()
+    again = make_pair(gl3, 5, 3, (31, 31, 31), weyl_from_word(gl3, "s0 s1"))
+    lift_inertia(gl3, again)
+    regular_lift(gl3, again)
+    lift_after = crystalline_lift._lift_plan.cache_info()
+    regular_after = hodge_tate._regular_plan.cache_info()
+    assert lift_after.hits == lift_before.hits + 2
+    assert lift_after.currsize == lift_before.currsize
+    assert regular_after.hits == regular_before.hits + 1
+    assert regular_after.currsize == regular_before.currsize
+    # a refused configuration leaves no plan behind
+    with pytest.raises(LiftHypothesisError):
+        regular_lift(gl3, make_pair(gl3, 5, 2, (0, 0, 0), p.w))
+    assert crystalline_lift._lift_plan.cache_info().currsize == \
+        lift_after.currsize
 
 
 def test_averaged_seed_slots_are_weyl_translates():

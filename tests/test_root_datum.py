@@ -7,6 +7,7 @@ through the package's own helpers.
 """
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from tamelift.root_datum import (
     make_root_datum,
     pair,
     root_action,
+    root_functionals,
     root_permutation,
     simple_coreflections,
     weyl_fixed_space,
@@ -408,3 +410,39 @@ def test_weyl_group_enumerated_once_per_datum():
     assert weyl_group_elements(fresh, 1152) is elements
     with pytest.raises(GuardError, match="exceeds enumeration limit 5"):
         weyl_group_elements(fresh, 5)
+
+
+def test_datum_hash_is_cached_and_stays_out_of_equality():
+    first, second = build_root_datum("Sp6"), build_root_datum("Sp6")
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert first == second
+    table = root_functionals(first)
+    hits = root_functionals.cache_info().hits
+    assert root_functionals(second) is table
+    assert root_functionals.cache_info().hits == hits + 1
+    # the cached value is in neither the fields, repr, JSON nor a pickle
+    assert "_hash" in vars(first)
+    assert "_hash" not in repr(first)
+    assert "_hash" not in datum_to_dict(first)
+    copy = pickle.loads(pickle.dumps(first))
+    assert "_hash" not in vars(copy)
+    assert copy == first and hash(copy) == hash(first)
+    relabeled = make_root_datum(first.rank, first.roots, first.coroots,
+                                first.pairing, first.simple_roots, "Sp6/x")
+    assert relabeled != first
+
+
+def test_axiom_check_computes_each_pairing_once(monkeypatch):
+    import tamelift.root_datum as rd
+
+    calls = []
+
+    def counting_pair(datum, character, cochar):
+        calls.append(1)
+        return pair(datum, character, cochar)
+
+    monkeypatch.setattr(rd, "pair", counting_pair)
+    sp6 = build_root_datum("Sp6")
+    # one <alpha, alpha^vee> per root, one <beta, alpha^vee> per root pair
+    assert len(calls) == len(sp6.roots) + len(sp6.roots) ** 2 == 342

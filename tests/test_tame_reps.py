@@ -69,6 +69,20 @@ def test_pair_constructor_guards():
         make_pair(GL2, 3, 2, (0, 0, 0), SWAP)
 
 
+@pytest.mark.parametrize("q, f, vbar", [
+    (3.0, 2, (1, 3)), (3, 2.0, (1, 3)), (3, 2, (1.0, 3)),
+    (True, 2, (1, 3)), (3, True, (1, 3)), (3, 2, (1, False)),
+])
+def test_pair_rejects_non_integers(q, f, vbar):
+    # 3.0 == 3 and hashes alike, so an accepted float would share the
+    # integer pair's cache entries (and return float slots)
+    with pytest.raises(ValueError, match="must be an integer|must be integers"):
+        make_pair(GL2, q, f, vbar, SWAP)
+    with pytest.raises(ValueError):
+        pair_from_dict({"group": "GL2", "q": q, "f": f, "vbar": list(vbar),
+                        "weyl_word": [0]})
+
+
 def test_vbar_is_reduced():
     p = make_pair(GL2, 3, 2, (9, -1), SWAP)
     assert p.vbar == (1, 7)
