@@ -10,7 +10,6 @@ algorithm inverts that reduction on compatible pairs.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -26,11 +25,9 @@ from .lattice import (
     identity_matrix,
     mat_add,
     mat_mul,
-    mat_pow,
     mat_scale,
     mat_vec,
     smith_normal_form,
-    solve_mod,
     solve_mod_smith,
     vec_add,
     vec_mod,
@@ -163,10 +160,11 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
 
 @dataclass(frozen=True)
 class _LiftPlan:
-    """What every lift of one (datum, w, q, f) shares."""
+    """What every lift and exactness check of one (datum, w, q, f) shares."""
 
     modulus: int
-    xi_smith: tuple[Mat, Mat, Mat]  # Smith form of averaged_scale_matrix
+    xi_bar: Mat  # averaged_scale_matrix
+    xi_smith: tuple[Mat, Mat, Mat]  # its Smith form
     slot_matrices: tuple[Mat, ...]  # w^((f-1-j) mod f)
 
     def slots(self, x: Vec) -> tuple[Vec, ...]:
@@ -187,9 +185,11 @@ def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
         raise LiftHypothesisError(
             f"lifting requires the Weyl element's f-th power to be the "
             f"identity (f={f})")
+    xi_bar = averaged_scale_matrix(w_matrix, q, f)
     return _LiftPlan(
         modulus=q ** f - 1,
-        xi_smith=smith_normal_form(averaged_scale_matrix(w_matrix, q, f)),
+        xi_bar=xi_bar,
+        xi_smith=smith_normal_form(xi_bar),
         slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
     )
 
@@ -232,29 +232,27 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
 # exactness check
 
 def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
-                       method: str = "auto", samples: int = 50,
-                       seed: int = 0) -> bool:
+                       method: str = "auto") -> bool:
     """Verify that the kernel of (q - w) on (Z/N)^r equals the image of the
     averaged scale matrix.
 
     The image always sits inside the kernel, because (q - w) composed with
     the averaging matrix is multiplication by N when w^f is the identity;
-    the check compares sizes.  Methods: "exhaustive" enumerates all N^r
-    vectors and counts both kernels directly; "snf" counts them through
-    Smith normal form; "sample" draws random kernel elements and solves for
-    preimages; "auto" picks exhaustive when N^r is small, snf otherwise.
+    the check compares sizes, so a True is a certificate of equality.
+    Methods: "exhaustive" enumerates all N^r vectors and counts both
+    kernels directly; "snf" counts them through Smith normal form; "auto"
+    picks exhaustive when N^r is small, snf otherwise.  The averaged matrix
+    and its Smith form come from the configuration's lift plan, which
+    raises LiftHypothesisError unless w^f is the identity.
     """
-    rank = datum.rank
-    if mat_pow(w.matrix, f) != identity_matrix(rank):
-        raise LiftHypothesisError(
-            "exactness check requires the Weyl element's f-th power to be "
-            "the identity")
-    n = q ** f - 1
+    if method not in ("auto", "exhaustive", "snf"):
+        raise ValueError(f"unknown method {method!r}")
+    plan = _lift_plan(datum, w.matrix, q, f)
+    rank, n = datum.rank, plan.modulus
     if n == 1:
         return True
     ker_mat = mat_add(mat_scale(q, identity_matrix(rank)),
                       mat_scale(-1, w.matrix))
-    xi_bar = averaged_scale_matrix(w.matrix, q, f)
     if method == "auto":
         method = "exhaustive" if n ** rank <= EXHAUSTIVE_AUTO_CAP else "snf"
     if method == "exhaustive":
@@ -263,14 +261,10 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
                 f"exhaustive exactness check out of range: {n}^{rank} "
                 f"vectors exceed {EXHAUSTIVE_CAP}")
         ker_count = _count_kernel_by_enumeration(ker_mat, n)
-        xi_ker_count = _count_kernel_by_enumeration(xi_bar, n)
-    elif method == "snf":
-        ker_count = _count_kernel_by_snf(ker_mat, n)
-        xi_ker_count = _count_kernel_by_snf(xi_bar, n)
-    elif method == "sample":
-        return _sampled_inclusion_check(ker_mat, xi_bar, n, samples, seed)
+        xi_ker_count = _count_kernel_by_enumeration(plan.xi_bar, n)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ker_count = _count_kernel_by_snf(smith_normal_form(ker_mat), n)
+        xi_ker_count = _count_kernel_by_snf(plan.xi_smith, n)
     image_count, rem = divmod(n ** rank, xi_ker_count)
     if rem:
         raise InternalConsistencyError(
@@ -302,35 +296,13 @@ def _count_kernel_by_enumeration(mat: Mat, n: int) -> int:
             return count
 
 
-def _count_kernel_by_snf(mat: Mat, n: int) -> int:
-    d, _, _ = smith_normal_form(mat)
+def _count_kernel_by_snf(snf: tuple[Mat, Mat, Mat], n: int) -> int:
+    """Kernel size mod n of a square matrix given by its Smith form."""
+    d, _, _ = snf
     count = 1
-    for i in range(len(mat)):
+    for i in range(len(d)):
         count *= gcd(d[i][i], n)
     return count
-
-
-def _sampled_inclusion_check(ker_mat: Mat, xi_bar: Mat, n: int,
-                             samples: int, seed: int) -> bool:
-    """Draw random elements of ker(ker_mat mod n) and test each for a
-    preimage under xi_bar.  Probabilistic: catches strict inclusion with
-    high probability but cannot certify equality."""
-    rank = len(ker_mat)
-    d, _, v = smith_normal_form(ker_mat)
-    strides = []
-    for i in range(rank):
-        g = gcd(d[i][i], n)
-        strides.append((n // g, g))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        y = tuple(stride * rng.randrange(g) for stride, g in strides)
-        x = vec_mod(mat_vec(v, y), n)
-        if vec_mod(mat_vec(ker_mat, x), n) != zero_vec(rank):
-            raise InternalConsistencyError(
-                f"sampled vector {x} is not in the kernel mod {n}")
-        if solve_mod(xi_bar, x, n) is None:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Exact linear algebra over Z, Z/N, and Q used by every other module.
+"""Exact integer linear algebra, over Z and Z/N, used by every other module.
 
 Everything works on tuples of Python ints (arbitrary precision); no floats.
 Matrices are tuples of row tuples.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
+
+
+def is_strict_int(value) -> bool:
+    """True for an int that is not a bool.  A float or bool equal to an int
+    hashes alike, so accepting one would let it share (and fill) every cache
+    keyed on integer data."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -335,70 +341,23 @@ def solve_mod_smith(snf: tuple[Mat, Mat, Mat], b: Vec, n: int) -> Vec | None:
     return vec_mod(mat_vec(v, tuple(y)), n)
 
 
-# ---------------------------------------------------------------------------
-# rational helpers
-
-def rational_solve(a, b):
-    """One exact solution (free variables 0) of a x = b over Q, or None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        work[r] = [x / work[r][col] for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if work[i][n] != 0:
+def solve_int_smith(snf: tuple[Mat, Mat, Mat], b: Vec) -> Vec | None:
+    """The x in Z^cols with a x = b, for a matrix a given by its Smith form
+    (d, u, v), with every free parameter set to 0; None when no integer
+    solution exists."""
+    d, u, v = snf
+    m, cols = len(u), len(v)
+    if len(b) != m:
+        raise ValueError(f"dimension mismatch: {len(b)} vs {m}")
+    c = mat_vec(u, b)
+    y = [0] * cols
+    for i in range(m):
+        di = d[i][i] if i < cols else 0
+        if di == 0:
+            if c[i] != 0:
+                return None
+        elif c[i] % di != 0:
             return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = work[i][n]
-    return x
-
-
-def rational_inverse(a: Mat):
-    """Exact inverse as a list of Fraction rows; raises if singular."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        work[col] = [x / work[col][col] for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
-def in_rational_span(rows: Mat, vec: Vec) -> bool:
-    """Is vec in the Q-span of the given rows?"""
-    if not any(vec):
-        return True
-    if not rows:
-        return False
-    sol = rational_solve(mat_transpose(rows), vec)
-    return sol is not None
+        else:
+            y[i] = c[i] // di
+    return mat_vec(v, tuple(y))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DatumValidationError, GuardError
@@ -26,13 +25,15 @@ from .lattice import (
     dot,
     identity_matrix,
     integer_kernel_basis,
+    is_strict_int,
     mat_mul,
     mat_sub,
     mat_transpose,
     mat_vec,
     matrix_order,
-    rational_inverse,
-    rational_solve,
+    smith_normal_form,
+    snf_diagonal,
+    solve_int_smith,
 )
 
 PRESET_RANK_CAP = 8
@@ -173,17 +174,17 @@ def _check_structure(rank, roots, coroots, pairing, simple_roots) -> None:
     def bad(invariant, msg):
         raise DatumValidationError(invariant, msg)
 
-    if not isinstance(rank, int) or rank < 0:
+    if not is_strict_int(rank) or rank < 0:
         bad("rank", f"rank must be a nonnegative integer, got {rank!r}")
     if len(roots) != len(coroots):
         bad("root-coroot-bijection", f"{len(roots)} roots vs {len(coroots)} coroots")
     for name, vecs in (("roots", roots), ("coroots", coroots)):
         for v in vecs:
-            if len(v) != rank or not all(isinstance(x, int) for x in v):
+            if len(v) != rank or not all(is_strict_int(x) for x in v):
                 bad(name, f"entries must be integer vectors of length {rank}: {v}")
     if len(pairing) != rank or any(len(row) != rank for row in pairing):
         bad("pairing-shape", f"pairing must be a {rank}x{rank} integer matrix")
-    if any(not isinstance(x, int) for row in pairing for x in row):
+    if any(not is_strict_int(x) for row in pairing for x in row):
         bad("pairing-shape", "pairing entries must be integers")
     if len(set(roots)) != len(roots):
         bad("roots-distinct", "duplicate root vectors")
@@ -192,7 +193,7 @@ def _check_structure(rank, roots, coroots, pairing, simple_roots) -> None:
     if len(set(simple_roots)) != len(simple_roots):
         bad("simple-roots", "repeated simple root index")
     for i in simple_roots:
-        if not isinstance(i, int) or not (0 <= i < len(roots)):
+        if not is_strict_int(i) or not (0 <= i < len(roots)):
             bad("simple-roots", f"simple root index {i!r} out of range")
 
 
@@ -241,18 +242,17 @@ def _check_axioms(datum: RootDatum) -> None:
     simples = datum.simple_root_vectors()
     if simples:
         tr = mat_transpose(simples)
+        # independence first, so that the coordinates below are unique
+        if sum(1 for x in snf_diagonal(tr) if x) != len(simples):
+            bad("base", "simple roots are linearly dependent")
+        snf = smith_normal_form(tr)
         for alpha in datum.roots:
-            coeffs = rational_solve(tr, alpha)
+            coeffs = solve_int_smith(snf, alpha)
             if coeffs is None:
-                bad("base", f"root {alpha} is outside the span of the simple roots")
-            if any(c.denominator != 1 for c in coeffs):
-                bad("base", f"root {alpha} has non-integer simple-root coordinates")
+                bad("base", f"root {alpha} is not an integer combination "
+                            f"of the simple roots")
             if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 bad("base", f"root {alpha} has mixed-sign simple-root coordinates")
-        # independence: distinct roots have distinct coordinates, so the solve
-        # above would fail to be unique only if simples were dependent
-        if len(integer_kernel_basis(tr, len(simples))) != 0:
-            bad("base", "simple roots are linearly dependent")
     elif datum.roots:
         bad("base", "datum has roots but no simple roots")
 
@@ -268,12 +268,8 @@ def simple_root_coords(datum: RootDatum) -> tuple[Vec, ...]:
     simples = datum.simple_root_vectors()
     if not simples:
         return tuple(() for _ in datum.roots)
-    tr = mat_transpose(simples)
-    out = []
-    for alpha in datum.roots:
-        coeffs = rational_solve(tr, alpha)
-        out.append(tuple(int(c) for c in coeffs))
-    return tuple(out)
+    snf = smith_normal_form(mat_transpose(simples))
+    return tuple(solve_int_smith(snf, alpha) for alpha in datum.roots)
 
 
 @lru_cache(maxsize=None)
@@ -508,9 +504,11 @@ def weyl_from_word(datum: RootDatum, word) -> WeylElement:
                 raise ValueError(f"cannot parse Weyl word letter {tok!r}")
             indices.append(int(tok))
         word = indices
-    word = tuple(int(i) for i in word)
+    word = tuple(word)
     gens = simple_coreflections(datum)
     for i in word:
+        if not is_strict_int(i):
+            raise ValueError(f"Weyl word letters must be integers, got {i!r}")
         if not (0 <= i < len(gens)):
             raise ValueError(
                 f"Weyl word letter {i} out of range for {len(gens)} simple roots")
@@ -527,7 +525,7 @@ def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
     matrix = tuple(tuple(row) for row in matrix)
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise ValueError(f"Weyl matrix must be {datum.rank}x{datum.rank}")
-    if any(not isinstance(x, int) for row in matrix for x in row):
+    if any(not is_strict_int(x) for row in matrix for x in row):
         raise ValueError("Weyl matrix entries must be integers")
     if det(matrix) not in (1, -1):
         raise ValueError("Weyl matrix is not invertible over Z")
@@ -561,33 +559,6 @@ def _descends_to_identity(datum: RootDatum, matrix: Mat) -> bool:
 
 def weyl_identity(datum: RootDatum) -> WeylElement:
     return WeylElement(matrix=identity_matrix(datum.rank), word=())
-
-
-@lru_cache(maxsize=None)
-def _contragredient_cached(datum: RootDatum, matrix: Mat):
-    """Matrix of the dual action on characters, as Fraction rows."""
-    pt = mat_transpose(datum.pairing)
-    pt_inv = rational_inverse(pt)
-    w_inv = rational_inverse(matrix)
-    w_inv_t = list(zip(*w_inv))
-    # pt_inv * w_inv_t * pt
-    step = [[sum(a * b for a, b in zip(row, col)) for col in zip(*pt)]
-            for row in w_inv_t]
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*step))
-        for row in pt_inv
-    )
-
-
-def root_action(datum: RootDatum, w: WeylElement, character: Vec) -> Vec:
-    """Image of a character under the contragredient of w (so that pairings
-    with w-translated cocharacters are preserved).  Exact over Q; the
-    reference for the integer root permutation below."""
-    c = _contragredient_cached(datum, w.matrix)
-    image = tuple(sum(a * Fraction(x) for a, x in zip(row, character)) for row in c)
-    if any(v.denominator != 1 for v in image):
-        raise ValueError("contragredient image is not integral on this character")
-    return tuple(int(v) for v in image)
 
 
 @lru_cache(maxsize=None)

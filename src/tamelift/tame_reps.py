@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 
 from .dynamic import (
     ParabolicType,
@@ -24,11 +23,12 @@ from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
     Vec,
+    det,
     dot,
     identity_matrix,
-    in_rational_span,
+    is_strict_int,
     mat_pow,
-    rational_solve,
+    snf_diagonal,
     vec_mod,
     vec_scale,
 )
@@ -63,10 +63,6 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
-def _is_strict_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TameInertialPair:
     """The tuple (q, f, vbar, w); vbar is stored reduced to [0, N)."""
@@ -80,9 +76,9 @@ class TameInertialPair:
         # floats equal to integers hash alike, so one would otherwise share
         # (and could fill) every cache keyed on q or f
         for name, value in (("q", self.q), ("f", self.f)):
-            if not _is_strict_int(value):
+            if not is_strict_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not all(_is_strict_int(x) for x in self.vbar):
+        if not all(is_strict_int(x) for x in self.vbar):
             raise ValueError(
                 f"vbar entries must be integers, got {tuple(self.vbar)!r}")
         if not is_prime_power(self.q):
@@ -235,7 +231,9 @@ def is_G_irreducible(datum: RootDatum, p: TameInertialPair) -> IrreducibilityRes
     central = central_cochar_space(datum)
     if len(fixed) == len(central):
         return IrreducibilityResult(irreducible=True)
-    noncentral = [v for v in fixed if not in_rational_span(central, v)]
+    # the central space is the common kernel of the root functionals, so a
+    # fixed vector is noncentral exactly when some root pairs nonzero with it
+    noncentral = [v for v in fixed if any(root_pairings(datum, v))]
     return IrreducibilityResult(irreducible=False, fixed_cochar=max(noncentral))
 
 
@@ -277,17 +275,33 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
 @lru_cache(maxsize=None)
 def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     """One integral defining cocharacter per proper standard parabolic:
-    pairing zero on a proper subset of the simple roots, positive outside."""
+    pairing zero on a proper subset of the simple roots, positive outside.
+
+    mu solves rows . mu = keep (rows: the simple-root functionals) with
+    mu zero off the pivot columns, where the rank of the column prefix
+    grows; on those columns the system is square and nonsingular, because
+    the simple roots are independent.  Cramer's rule gives the solution
+    y / D, and mu is its least positive integral multiple."""
     functionals = root_functionals(datum)
     rows = [functionals[i] for i in datum.simple_roots]
+    pivots = []
+    for col in range(datum.rank):
+        prefix = tuple(row[:col + 1] for row in rows)
+        if sum(1 for x in snf_diagonal(prefix) if x) > len(pivots):
+            pivots.append(col)
+    square = [[row[c] for c in pivots] for row in rows]
+    d = det(square)
     out = []
     for keep in itertools.product((0, 1), repeat=len(rows)):
         if not any(keep):
             continue  # every simple pairs to zero: the whole group, not proper
-        rhs = [Fraction(k) for k in keep]
-        sol = rational_solve(rows, rhs)
-        scale = lcm(*(x.denominator for x in sol)) if sol else 1
-        mu = tuple(int(x * scale) for x in sol)
+        y = [det([r[:i] + [k] + r[i + 1:] for r, k in zip(square, keep)])
+             for i in range(len(pivots))]
+        g = gcd(d, *y) if d > 0 else -gcd(d, *y)
+        mu = [0] * datum.rank
+        for c, yi in zip(pivots, y):
+            mu[c] = yi // g
+        mu = tuple(mu)
         if [dot(row, mu) > 0 for row in rows] != [bool(k) for k in keep]:
             raise InternalConsistencyError(
                 f"standard cocharacter {mu} of {datum.label} does not cut "

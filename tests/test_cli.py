@@ -227,6 +227,28 @@ def test_pair_file_float_q_exits_1(tmp_path, capsys):
     assert err == "error: q must be an integer, got 3.0\n"
 
 
+def test_pair_file_non_int_weyl_word_exits_1(tmp_path, capsys):
+    # a float letter used to be truncated: [0.9] lifted as [0]
+    path = tmp_path / "pair.json"
+    for word, shown in [([0.9], "0.9"), ([True], "True")]:
+        path.write_text(json.dumps({"group": "GL2", "q": 3, "f": 2,
+                                    "vbar": [1, 3], "weyl_word": word}))
+        code, out, err = run(["lift", "--pair-file", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: Weyl word letters must be integers, got {shown}\n"
+
+
+def test_datum_custom_bool_entry_is_rejected(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "rank": 2, "roots": [[True, -1], [-1, 1]],
+        "coroots": [[1, -1], [-1, 1]], "pairing": [[1, 0], [0, 1]],
+        "simple_roots": [0]}))
+    code, out, err = run(["datum", "--custom", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "roots: entries must be integer vectors of length 2" in err
+
+
 def test_unexpected_exception_exits_4(monkeypatch, capsys):
     import tamelift.cli as cli
 

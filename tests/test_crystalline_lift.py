@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tamelift import crystalline_lift
 from tamelift.crystalline_lift import (
     CrysCharTuple,
     averaged_scale_matrix,
@@ -198,8 +199,7 @@ def test_simple_trick_methods_agree():
                 for w in elements_of_order_dividing(datum, f):
                     r1 = simple_trick_check(datum, q, f, w, method="exhaustive")
                     r2 = simple_trick_check(datum, q, f, w, method="snf")
-                    r3 = simple_trick_check(datum, q, f, w, method="sample")
-                    assert r1 and r2 and r3
+                    assert r1 and r2
 
 
 def test_simple_trick_trivial_modulus():
@@ -213,8 +213,25 @@ def test_simple_trick_guard_and_method_errors():
     assert simple_trick_check(gl4, 5, 3, weyl_identity(gl4), method="snf")
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(GL3, 3, 2, weyl_from_word(GL3, [0, 1]))
-    with pytest.raises(ValueError):
-        simple_trick_check(GL2, 3, 2, SWAP, method="guess")
+    # "sample" is gone: a sampled inclusion check cannot certify equality
+    for method in ("guess", "sample"):
+        with pytest.raises(ValueError):
+            simple_trick_check(GL2, 3, 2, SWAP, method=method)
+
+
+def test_simple_trick_check_shares_the_lift_plan():
+    sp4 = build_root_datum("Sp4")
+    w = weyl_from_word(sp4, [0, 1])
+    lift_inertia(sp4, make_pair(sp4, 3, 4, (0, 0), w))
+    before = crystalline_lift._lift_plan.cache_info()
+    for method in ("auto", "exhaustive", "snf"):
+        assert simple_trick_check(sp4, 3, 4, w, method=method)
+    after = crystalline_lift._lift_plan.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 3, before.currsize)
+    # a refused configuration leaves no plan behind
+    with pytest.raises(LiftHypothesisError):
+        simple_trick_check(sp4, 3, 3, w)
+    assert crystalline_lift._lift_plan.cache_info().currsize == after.currsize
 
 
 def test_lift_to_dict():

@@ -10,19 +10,19 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from fraction_reference import rational_inverse
+
 from tamelift.lattice import (
     det,
     hnf_rows,
     identity_matrix,
-    in_rational_span,
     integer_kernel_basis,
     mat_mul,
     mat_vec,
     matrix_order,
-    rational_inverse,
-    rational_solve,
     smith_normal_form,
     snf_diagonal,
+    solve_int_smith,
     solve_mod,
 )
 
@@ -194,6 +194,7 @@ def test_solve_mod_is_deterministic():
 
 
 def test_rational_inverse_roundtrip():
+    # the reference inverse behind the tests' Fraction contragredient
     rng = random.Random(108)
     done = 0
     while done < 30:
@@ -208,13 +209,40 @@ def test_rational_inverse_roundtrip():
         done += 1
 
 
-def test_rational_solve_and_span():
-    assert rational_solve(((1, 1), (1, -1)), (2, 0)) == [Fraction(1), Fraction(1)]
-    assert rational_solve(((1, 1), (1, 1)), (0, 1)) is None
-    assert in_rational_span(((1, 1, 0),), (2, 2, 0))
-    assert not in_rational_span(((1, 1, 0),), (1, 0, 0))
-    assert in_rational_span((), (0, 0))
-    assert not in_rational_span((), (1, 0))
+def test_solve_int_smith_examples():
+    def solve(a, b):
+        return solve_int_smith(smith_normal_form(a), b)
+
+    assert solve(((1, 1), (1, -1)), (2, 0)) == (1, 1)
+    assert solve(((1, 1), (1, -1)), (1, 0)) is None  # only over Q
+    assert solve(((1, 1), (1, 1)), (0, 1)) is None  # not even over Q
+    assert solve(((1,), (1,), (0,)), (2, 2, 0)) == (2,)
+    assert solve(((1,), (1,), (0,)), (1, 0, 0)) is None
+
+
+def test_solve_int_smith_against_oracles():
+    # a solution must solve; a refusal must be a rational inconsistency
+    # (rank grows with b appended) or a modulus with no solution at all;
+    # entries in [-3, 3] and sizes up to 3 keep every invariant factor
+    # below 200, so that modulus is among those tried
+    rng = random.Random(109)
+    for _ in range(150):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        a = random_matrix(rng, m, k, bound=3)
+        snf = smith_normal_form(a)
+        x0 = tuple(rng.randint(-5, 5) for _ in range(k))
+        x = solve_int_smith(snf, mat_vec(a, x0))
+        assert x is not None and mat_vec(a, x) == mat_vec(a, x0)
+        if frac_rank(a) == k:
+            assert x == x0
+        b = tuple(rng.randint(-6, 6) for _ in range(m))
+        x = solve_int_smith(snf, b)
+        if x is not None:
+            assert mat_vec(a, x) == b
+        else:
+            appended = tuple(row + (bi,) for row, bi in zip(a, b))
+            assert (frac_rank(appended) > frac_rank(a)
+                    or any(solve_mod(a, b, n) is None for n in range(2, 200)))
 
 
 def test_matrix_order():

@@ -2,16 +2,21 @@
 
 The preset root systems are checked against an independent oracle that
 reconstructs all roots from the Cartan matrix alone by closing the simple
-reflections; coordinates are compared through a local Fraction solver, not
-through the package's own helpers.
+reflections; coordinates are compared through the Fraction solver in
+`fraction_reference`, not through the package's own helpers.
 """
 from __future__ import annotations
 
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
+from fraction_reference import (
+    REFERENCE_PRESETS,
+    coords_in_base,
+    root_action,
+    sheared_gl3,
+)
 
 from tamelift.errors import DatumValidationError, GuardError
 from tamelift.root_datum import (
@@ -25,10 +30,10 @@ from tamelift.root_datum import (
     is_regular_cochar,
     make_root_datum,
     pair,
-    root_action,
     root_functionals,
     root_permutation,
     simple_coreflections,
+    simple_root_coords,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
@@ -59,35 +64,6 @@ def cartan_closure(cartan):
                     nxt.append(image)
         frontier = nxt
     return roots
-
-
-def coords_in_base(base_vectors, v):
-    """Solve for v as a rational combination of the base vectors."""
-    n = len(v)
-    k = len(base_vectors)
-    rows = [[Fraction(base_vectors[j][i]) for j in range(k)] + [Fraction(v[i])]
-            for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    out = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        out[col] = rows[i][k]
-    return tuple(out)
 
 
 def read_cartan(datum):
@@ -177,6 +153,9 @@ def test_weyl_from_word_examples():
     assert sorted(w.matrix) == sorted(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
         weyl_from_word(gl3, [7])
+    for word in ([0.9], [True], [0, 1.0], ["0"]):  # [0.9] once read as [0]
+        with pytest.raises(ValueError, match="must be integers"):
+            weyl_from_word(gl3, word)
 
 
 def test_weyl_from_matrix_validates():
@@ -187,6 +166,8 @@ def test_weyl_from_matrix_validates():
         weyl_from_matrix(gl2, [[1, 1], [0, 1]])  # unimodular but not Weyl
     with pytest.raises(ValueError):
         weyl_from_matrix(gl2, [[2, 0], [0, 1]])  # not unimodular
+    with pytest.raises(ValueError, match="must be integers"):
+        weyl_from_matrix(gl2, [[False, True], [True, False]])
 
 
 def test_weyl_fixed_space_examples():
@@ -329,6 +310,52 @@ def test_validation_names_failed_invariant():
         make_root_datum(3, gl3.roots, gl3.coroots, gl3.pairing,
                         [gl3.root_index((1, -1, 0))])
     assert err.value.invariant == "base"
+
+    # bools equal 0 and 1 and hash alike, so each entry must be a real int
+    good = dict(rank=2, roots=[(1, -1), (-1, 1)], coroots=[(1, -1), (-1, 1)],
+                pairing=((1, 0), (0, 1)), simple_roots=[0])
+    make_root_datum(**good)
+    for field, value, invariant in [
+        ("rank", True, "rank"),
+        ("roots", [(True, -1), (-1, 1)], "roots"),
+        ("coroots", [(1, -1), (-1, True)], "coroots"),
+        ("pairing", ((True, 0), (0, 1)), "pairing-shape"),
+        ("simple_roots", [False], "simple-roots"),
+    ]:
+        with pytest.raises(DatumValidationError) as err:
+            make_root_datum(**dict(good, **{field: value}))
+        assert err.value.invariant == invariant, field
+
+
+def test_base_check_messages():
+    def base_error(datum, simples):
+        with pytest.raises(DatumValidationError) as err:
+            make_root_datum(datum.rank, datum.roots, datum.coroots,
+                            datum.pairing,
+                            [datum.root_index(r) for r in simples])
+        assert err.value.invariant == "base"
+        return str(err.value)
+
+    gl3 = build_root_datum("GL3")
+    so5 = build_root_datum("SO5")
+    # outside the span, and inside it with half-integer coordinates
+    # (e1 = (e1 + e2)/2 + (e1 - e2)/2): one message for both
+    for datum, simples in [(gl3, [(1, -1, 0)]), (so5, [(1, 1), (1, -1)])]:
+        assert "is not an integer combination of the simple roots" in \
+            base_error(datum, simples)
+    assert "mixed-sign" in base_error(gl3, [(1, -1, 0), (1, 0, -1)])
+    assert "linearly dependent" in base_error(
+        gl3, [(1, -1, 0), (0, 1, -1), (1, 0, -1)])
+
+
+@pytest.mark.parametrize("name", REFERENCE_PRESETS + ("sheared-GL3",))
+def test_simple_root_coords_match_fraction_reference(name):
+    datum = sheared_gl3() if name == "sheared-GL3" else build_root_datum(name)
+    simples = datum.simple_root_vectors()
+    expected = tuple(
+        tuple(int(c) for c in coords_in_base(simples, alpha)) if simples
+        else () for alpha in datum.roots)
+    assert simple_root_coords(datum) == expected
 
 
 def test_preset_rank_guards():

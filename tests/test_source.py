@@ -18,3 +18,21 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_no_fractions_imports_in_package():
+    # the package computes over Z and Z/N only; Fraction references live
+    # in the tests
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -3,16 +3,22 @@ brute-force parabolic oracle."""
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 import pytest
+from fraction_reference import REFERENCE_PRESETS, coords_in_base, sheared_gl3
 
 from tamelift.dynamic import normalizer_element_in_parabolic, parabolic_of
 from tamelift.errors import GuardError, InvalidPairError
 from tamelift.lattice import mat_mul, mat_pow, matrix_order, vec_mod, vec_scale
 from tamelift.root_datum import (
     build_root_datum,
+    central_cochar_space,
     datum_from_dict,
     datum_to_dict,
+    root_functionals,
+    root_pairings,
+    weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
     weyl_group_elements,
@@ -254,6 +260,35 @@ def test_parabolic_table_matches_per_w_scan():
             reference = reference_stable_parabolics(datum, w, ORACLE_WEYL_CAP)
             assert [parabolic_record(par) for par in table] == \
                 [parabolic_record(par) for par in reference], (name, w.word)
+
+
+@pytest.mark.parametrize("name", REFERENCE_PRESETS + ("sheared-GL3",))
+def test_standard_cochars_match_fraction_reference(name):
+    # the rational solve of rows . mu = keep, free variables 0, scaled by
+    # the least common denominator
+    datum = sheared_gl3() if name == "sheared-GL3" else build_root_datum(name)
+    rows = [root_functionals(datum)[i] for i in datum.simple_roots]
+    columns = tuple(zip(*rows))
+    expected = []
+    for keep in itertools.product((0, 1), repeat=len(rows)):
+        if any(keep):
+            sol = coords_in_base(columns, keep)
+            scale = lcm(*(x.denominator for x in sol))
+            expected.append(tuple(int(x * scale) for x in sol))
+    assert _standard_parabolic_cochars(datum) == tuple(expected)
+
+
+def test_noncentral_means_some_root_pairs_nonzero():
+    # the integer test is_G_irreducible uses, against rational span
+    # membership in the central cocharacter space
+    for name in ["GL2", "GL3", "GL4", "SL3", "Sp4", "SO5", "SO7", "G2"]:
+        datum = build_root_datum(name)
+        central = central_cochar_space(datum)
+        for w in weyl_group_elements(datum):
+            for v in weyl_fixed_space(datum, w):
+                outside = (coords_in_base(central, v) is None if central
+                           else any(v))
+                assert any(root_pairings(datum, v)) == outside
 
 
 def test_criterion_matches_oracle_small_sweep():
