@@ -331,12 +331,7 @@ def _cmd_selftest(args) -> int:
         _emit_json(payload)
         return 0 if payload["passed"] else 2
     for r in results:
-        state = "PASS" if r.passed else "FAIL"
-        print(f"criterion {r.number} ({r.name}): {state} [{r.cases} cases]")
-        for message in r.failures[:3]:
-            print(f"  {message}")
-        if len(r.failures) > 3:
-            print(f"  ... and {len(r.failures) - 3} more failures")
+        print(r.summary())
         if args.verbose:
             print(f"criterion {r.number}: {r.seconds:.1f}s", file=sys.stderr)
     passed = all(r.passed for r in results)

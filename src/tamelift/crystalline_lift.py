@@ -11,7 +11,6 @@ algorithm inverts that reduction on compatible pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -33,7 +32,7 @@ from .lattice import (
     vec_mod,
     zero_vec,
 )
-from .root_datum import RootDatum, WeylElement, is_regular_cochar
+from .root_datum import RootDatum, WeylElement, is_regular_cochar, per_datum
 from .tame_reps import TameInertialPair, _require_valid
 
 EXHAUSTIVE_CAP = 10 ** 7
@@ -173,7 +172,7 @@ class _LiftPlan:
         return tuple(mat_vec(m, x) for m in self.slot_matrices)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
     """Built on the first lift of a configuration; raises, and so caches
     nothing, unless w^f is the identity."""

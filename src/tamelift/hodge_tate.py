@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .crystalline_lift import (
     CrysCharTuple,
@@ -25,7 +24,7 @@ from .crystalline_lift import (
 )
 from .errors import InternalConsistencyError, MultisetDivisionError
 from .lattice import Mat, Vec, vec_add, vec_neg, vec_scale, zero_vec
-from .root_datum import RootDatum, is_regular_cochar, root_pairings
+from .root_datum import RootDatum, is_regular_cochar, per_datum, root_pairings
 from .tame_reps import TameInertialPair
 
 
@@ -109,7 +108,7 @@ class _RegularPlan:
     seed_pairings: tuple[Vec, ...]  # <alpha, M_j . s> per root; never 0
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _regular_plan(datum: RootDatum, w_matrix: Mat, q: int,
                   f: int) -> _RegularPlan:
     seed_slots = _lift_plan(datum, w_matrix, q, f).slots(

@@ -90,10 +90,6 @@ def mat_scale(c: int, a: Mat) -> Mat:
     return tuple(vec_scale(c, row) for row in a)
 
 
-def mat_mod(a: Mat, n: int) -> Mat:
-    return tuple(vec_mod(row, n) for row in a)
-
-
 def mat_pow(a: Mat, k: int) -> Mat:
     if k < 0:
         raise ValueError("negative power not supported")

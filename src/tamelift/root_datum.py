@@ -13,9 +13,9 @@ Conventions:
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DatumValidationError, GuardError
 from .lattice import (
@@ -32,7 +32,6 @@ from .lattice import (
     mat_vec,
     matrix_order,
     smith_normal_form,
-    snf_diagonal,
     solve_int_smith,
 )
 
@@ -48,23 +47,14 @@ class RootDatum:
     simple_roots: tuple[int, ...]  # indices into roots, in Dynkin order
     label: str = "custom"
 
-    def __hash__(self) -> int:
-        # every per-datum lru_cache lookup hashes the datum, so hash its
-        # fields once; the value lives outside the dataclass fields and so
-        # outside __eq__ and repr
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.rank, self.roots, self.coroots, self.pairing,
-                      self.simple_roots, self.label))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __post_init__(self):
+        # tables derived from the datum (see per_datum); outside the fields,
+        # so outside __eq__, hash and repr, and freed with the datum
+        object.__setattr__(self, "_memo", {})
 
     def __getstate__(self) -> dict:
-        # string hashes differ between processes: never carry one over
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # the memo stays behind: an unpickled datum starts with an empty one
+        return {**self.__dict__, "_memo": {}}
 
     def root_index(self, root: Vec) -> int:
         try:
@@ -77,6 +67,22 @@ class RootDatum:
 
     def simple_coroot_vectors(self) -> tuple[Vec, ...]:
         return tuple(self.coroots[i] for i in self.simple_roots)
+
+
+def per_datum(fn):
+    """Cache fn(datum, *args) in the datum's memo: computed once per datum
+    and argument tuple, and released with the datum.  A call that raises
+    caches nothing."""
+    @functools.wraps(fn)
+    def cached(datum, *args):
+        memo = datum._memo
+        key = (fn, args)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(datum, *args)
+            return value
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +116,12 @@ def pair(datum: RootDatum, character: Vec, cochar: Vec) -> int:
     return dot(character, mat_vec(datum.pairing, cochar))
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def root_functionals(datum: RootDatum) -> Mat:
     """One integer row per root, in root order: <alpha, y> = row . y for
     every cocharacter y."""
-    return tuple(_pairing_functional(datum, alpha) for alpha in datum.roots)
+    transpose = mat_transpose(datum.pairing)
+    return tuple(mat_vec(transpose, alpha) for alpha in datum.roots)
 
 
 def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
@@ -132,16 +139,11 @@ def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
     return 0 not in root_pairings(datum, cochar)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def central_cochar_space(datum: RootDatum) -> Mat:
     """Canonical basis of the rational central directions, i.e. cocharacters
     killed by every root.  Saturated, so a basis over Z as well."""
     return integer_kernel_basis(root_functionals(datum), datum.rank)
-
-
-def _pairing_functional(datum: RootDatum, character: Vec) -> Vec:
-    """Row vector a with <character, y> = a . y for all cochars y."""
-    return mat_vec(mat_transpose(datum.pairing), character)
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +206,36 @@ def _check_axioms(datum: RootDatum) -> None:
     if det(datum.pairing) == 0:
         bad("pairing-nondegenerate", "pairing matrix is singular over Q")
 
-    root_pos = {r: i for i, r in enumerate(datum.roots)}
-    coroot_set = set(datum.coroots)
+    # the checks read the datum's own tables, so a datum that passes has
+    # them in its memo and a rejected one takes them with it
+    root_index = _root_index_map(datum)
+    coroot_index = _coroot_index_map(datum)
+    # cartan[i][j] = <alpha_i, alpha_j^vee>: each pairing computed once
+    cartan = [[dot(row, c) for c in datum.coroots]
+              for row in root_functionals(datum)]
     for i, (alpha, alpha_v) in enumerate(zip(datum.roots, datum.coroots)):
-        if pair(datum, alpha, alpha_v) != 2:
+        if cartan[i][i] != 2:
             bad("pair-root-coroot", f"<{alpha}, {alpha_v}> != 2")
-        j = root_pos.get(tuple(-x for x in alpha))
+        j = root_index.get(tuple(-x for x in alpha))
         if j is None or datum.coroots[j] != tuple(-x for x in alpha_v):
             bad("negation-closure", f"-({alpha}) missing or its coroot mismatched")
 
     # every root reflection permutes the root set, and the coroot-side
     # reflection permutes the coroot set
-    for alpha, alpha_v in zip(datum.roots, datum.coroots):
-        functional = _pairing_functional(datum, alpha)
+    for i, (alpha, alpha_v) in enumerate(zip(datum.roots, datum.coroots)):
         images = set()
-        for beta in datum.roots:
-            c = pair(datum, beta, alpha_v)
-            image = tuple(b - c * a for b, a in zip(beta, alpha))
-            if image not in root_pos:
+        for j, beta in enumerate(datum.roots):
+            image = tuple(b - cartan[j][i] * a for b, a in zip(beta, alpha))
+            if image not in root_index:
                 bad("reflection-closure",
                     f"reflection in {alpha} sends {beta} outside the root set")
             images.add(image)
         if len(images) != len(datum.roots):
             bad("reflection-closure", f"reflection in {alpha} is not injective on roots")
         co_images = set()
-        for beta_v in datum.coroots:
-            image = tuple(b - dot(functional, beta_v) * a for b, a in zip(beta_v, alpha_v))
-            if image not in coroot_set:
+        for j, beta_v in enumerate(datum.coroots):
+            image = tuple(b - cartan[i][j] * a for b, a in zip(beta_v, alpha_v))
+            if image not in coroot_index:
                 bad("coreflection-closure",
                     f"coreflection in {alpha_v} sends {beta_v} outside the coroot set")
             co_images.add(image)
@@ -239,15 +244,15 @@ def _check_axioms(datum: RootDatum) -> None:
 
     # the simple roots are a base: independent, and every root is a one-signed
     # integer combination of them
-    simples = datum.simple_root_vectors()
-    if simples:
-        tr = mat_transpose(simples)
-        # independence first, so that the coordinates below are unique
-        if sum(1 for x in snf_diagonal(tr) if x) != len(simples):
+    if datum.simple_roots:
+        coords = simple_root_coords(datum)
+        # the solve is linear in the root, so the simple roots get the unit
+        # vectors as coordinates exactly when they are independent; then
+        # every root's coordinates are unique
+        if (tuple(coords[i] for i in datum.simple_roots)
+                != identity_matrix(len(datum.simple_roots))):
             bad("base", "simple roots are linearly dependent")
-        snf = smith_normal_form(tr)
-        for alpha in datum.roots:
-            coeffs = solve_int_smith(snf, alpha)
+        for alpha, coeffs in zip(datum.roots, coords):
             if coeffs is None:
                 bad("base", f"root {alpha} is not an integer combination "
                             f"of the simple roots")
@@ -257,12 +262,12 @@ def _check_axioms(datum: RootDatum) -> None:
         bad("base", "datum has roots but no simple roots")
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _root_index_map(datum: RootDatum) -> dict:
     return {r: i for i, r in enumerate(datum.roots)}
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def simple_root_coords(datum: RootDatum) -> tuple[Vec, ...]:
     """Coordinates of every root in the simple-root base (integer tuples)."""
     simples = datum.simple_root_vectors()
@@ -272,7 +277,7 @@ def simple_root_coords(datum: RootDatum) -> tuple[Vec, ...]:
     return tuple(solve_int_smith(snf, alpha) for alpha in datum.roots)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
     coords = simple_root_coords(datum)
     return tuple(i for i in range(len(datum.roots))
@@ -475,13 +480,12 @@ def datum_from_dict(data: dict, label: str = "custom") -> RootDatum:
 # ---------------------------------------------------------------------------
 # Weyl elements
 
-@lru_cache(maxsize=None)
+@per_datum
 def simple_coreflections(datum: RootDatum) -> tuple[Mat, ...]:
     """Matrices of the simple reflections acting on the cocharacter lattice."""
     out = []
     for k in datum.simple_roots:
-        alpha, alpha_v = datum.roots[k], datum.coroots[k]
-        functional = _pairing_functional(datum, alpha)
+        alpha_v, functional = datum.coroots[k], root_functionals(datum)[k]
         rows = tuple(
             tuple(int(i == j) - alpha_v[i] * functional[j] for j in range(datum.rank))
             for i in range(datum.rank)
@@ -561,12 +565,12 @@ def weyl_identity(datum: RootDatum) -> WeylElement:
     return WeylElement(matrix=identity_matrix(datum.rank), word=())
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _coroot_index_map(datum: RootDatum) -> dict:
     return {c: i for i, c in enumerate(datum.coroots)}
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _root_permutation_cached(datum: RootDatum, matrix: Mat) -> tuple[int, ...]:
     # w(alpha)^vee = w(alpha^vee): the image of each coroot names the image
     # root.  That root must pair with w(y) as alpha pairs with y, i.e. its
@@ -599,19 +603,17 @@ def weyl_order(w: WeylElement) -> int:
     return matrix_order(w.matrix)
 
 
-# datum -> its Weyl group in enumeration order; filled on first full
-# enumeration, whatever limit that call carried
-_WEYL_GROUPS: dict[RootDatum, tuple[WeylElement, ...]] = {}
-
-
 def weyl_group_elements(datum: RootDatum, limit: int = 10000) -> tuple[WeylElement, ...]:
     """Enumerate the full Weyl group by breadth-first closure of the simple
     coreflections.  Deterministic: elements come out in shortest-word order,
     ties broken by generator index.  Enumerated once per datum; `limit` is a
     guard on the group's size, checked against that one enumeration."""
-    elements = _WEYL_GROUPS.get(datum)
+    # memoized under the enumerator alone: whatever limit the first full
+    # enumeration carried, later calls only compare the size with theirs
+    elements = datum._memo.get(_enumerate_weyl_group)
     if elements is None:
-        elements = _WEYL_GROUPS[datum] = _enumerate_weyl_group(datum, limit)
+        elements = datum._memo[_enumerate_weyl_group] = \
+            _enumerate_weyl_group(datum, limit)
     if len(elements) > limit:
         raise _weyl_limit_error(datum, limit)
     return elements
@@ -644,7 +646,7 @@ def _enumerate_weyl_group(datum: RootDatum, limit: int) -> tuple[WeylElement, ..
     return tuple(elements)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def weyl_fixed_space(datum: RootDatum, w: WeylElement) -> Mat:
     """Canonical basis of the w-fixed cocharacter sublattice (saturated, so
     also a basis of the fixed subspace over Q)."""

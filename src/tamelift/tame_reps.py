@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .dynamic import (
@@ -36,6 +35,7 @@ from .root_datum import (
     RootDatum,
     WeylElement,
     central_cochar_space,
+    per_datum,
     root_functionals,
     root_pairings,
     weyl_fixed_space,
@@ -272,7 +272,7 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     return list(_stable_proper_parabolics(datum, p.w.matrix, limit))
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     """One integral defining cocharacter per proper standard parabolic:
     pairing zero on a proper subset of the simple roots, positive outside.
@@ -310,7 +310,7 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _torus_parabolics(datum: RootDatum, limit: int) -> tuple[ParabolicType, ...]:
     """Every proper parabolic containing the torus, once each, in order of
     first appearance among the translates u.mu."""
@@ -325,7 +325,7 @@ def _torus_parabolics(datum: RootDatum, limit: int) -> tuple[ParabolicType, ...]
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@per_datum
 def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
                               limit: int) -> tuple[ParabolicType, ...]:
     w = WeylElement(matrix=w_matrix)

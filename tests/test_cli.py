@@ -291,6 +291,24 @@ def test_selftest_subset(capsys):
     assert out.endswith("selftest: PASS\n")
 
 
+def test_selftest_report_of_failures(capsys, monkeypatch):
+    import tamelift.cli as cli
+    from tamelift.acceptance import CriterionResult
+
+    failed = CriterionResult(
+        number=3, name="irreducibility criterion vs oracle", passed=False,
+        cases=9, seconds=1.5, failures=tuple(f"case {k}" for k in range(5)))
+    monkeypatch.setattr(cli, "run_selected", lambda numbers, seed: (failed,))
+    code, out, err = run(["selftest", "--only", "3", "--verbose"], capsys)
+    assert code == 2
+    assert out == (
+        "criterion 3 (irreducibility criterion vs oracle): FAIL [9 cases]\n"
+        "  case 0\n  case 1\n  case 2\n  ... and 2 more failures\n"
+        "selftest: FAIL\n")
+    assert out.startswith(failed.summary() + "\n")
+    assert err == "criterion 3: 1.5s\n"
+
+
 def test_selftest_json(capsys):
     code, out, _ = run(["selftest", "--only", "5", "--format", "json"],
                        capsys)

@@ -7,8 +7,10 @@ reflections; coordinates are compared through the Fraction solver in
 """
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from fraction_reference import (
@@ -18,7 +20,10 @@ from fraction_reference import (
     sheared_gl3,
 )
 
+from tamelift.crystalline_lift import lift_inertia, simple_trick_check
 from tamelift.errors import DatumValidationError, GuardError
+from tamelift.hodge_tate import regular_lift
+from tamelift.lattice import dot
 from tamelift.root_datum import (
     WeylElement,
     build_root_datum,
@@ -40,6 +45,11 @@ from tamelift.root_datum import (
     weyl_group_elements,
     weyl_identity,
     weyl_order,
+)
+from tamelift.tame_reps import (
+    brute_force_parabolic_oracle,
+    is_G_irreducible,
+    make_pair,
 )
 
 # ---------------------------------------------------------------------------
@@ -439,25 +449,57 @@ def test_weyl_group_enumerated_once_per_datum():
         weyl_group_elements(fresh, 5)
 
 
-def test_datum_hash_is_cached_and_stays_out_of_equality():
+def test_datum_memo_stays_out_of_equality():
     first, second = build_root_datum("Sp6"), build_root_datum("Sp6")
     assert first is not second
-    assert hash(first) == hash(second)
-    assert first == second
     table = root_functionals(first)
-    hits = root_functionals.cache_info().hits
-    assert root_functionals(second) is table
-    assert root_functionals.cache_info().hits == hits + 1
-    # the cached value is in neither the fields, repr, JSON nor a pickle
-    assert "_hash" in vars(first)
-    assert "_hash" not in repr(first)
-    assert "_hash" not in datum_to_dict(first)
-    copy = pickle.loads(pickle.dumps(first))
-    assert "_hash" not in vars(copy)
-    assert copy == first and hash(copy) == hash(first)
+    assert root_functionals(first) is table
+    # equal datums built separately share no tables: each memo lives and
+    # dies with its own datum
+    assert root_functionals(second) == table
+    assert root_functionals(second) is not table
+    assert first == second and hash(first) == hash(second)
+    assert first._memo and "_memo" not in repr(first)
+    assert "_memo" not in datum_to_dict(first)
     relabeled = make_root_datum(first.rank, first.roots, first.coroots,
                                 first.pairing, first.simple_roots, "Sp6/x")
     assert relabeled != first
+
+
+def _use_every_table(datum, q, f, vbar, word):
+    """Fill the datum's memo through every construction that keeps a
+    table on it."""
+    w = weyl_from_word(datum, word)
+    p = make_pair(datum, q, f, vbar, w)
+    lift_inertia(datum, p)
+    regular_lift(datum, p)
+    assert simple_trick_check(datum, q, f, w)
+    is_G_irreducible(datum, p)
+    brute_force_parabolic_oracle(datum, p)
+    weyl_group_elements(datum)
+    weyl_fixed_space(datum, w)
+    weyl_from_matrix(datum, w.matrix)
+
+
+def test_datum_is_freed_with_its_tables():
+    gl3 = build_root_datum("GL3")
+    datum = make_root_datum(gl3.rank, gl3.roots, gl3.coroots, gl3.pairing,
+                            gl3.simple_roots, label="GL3/weakref-test")
+    _use_every_table(datum, 5, 3, (25, 5, 1), [0, 1])
+    ref = weakref.ref(datum)
+    del datum
+    gc.collect()
+    assert ref() is None
+
+
+def test_used_datum_pickles_with_an_empty_memo():
+    sp4 = build_root_datum("Sp4")
+    _use_every_table(sp4, 3, 2, (1, 3), [0])
+    copy = pickle.loads(pickle.dumps(sp4))
+    assert copy == sp4 and hash(copy) == hash(sp4)
+    assert copy._memo == {} and sp4._memo
+    assert root_functionals(copy) == root_functionals(sp4)
+    assert weyl_group_elements(copy) == weyl_group_elements(sp4)
 
 
 def test_axiom_check_computes_each_pairing_once(monkeypatch):
@@ -465,11 +507,17 @@ def test_axiom_check_computes_each_pairing_once(monkeypatch):
 
     calls = []
 
-    def counting_pair(datum, character, cochar):
+    def counting_dot(u, v):
         calls.append(1)
-        return pair(datum, character, cochar)
+        return dot(u, v)
 
-    monkeypatch.setattr(rd, "pair", counting_pair)
+    monkeypatch.setattr(rd, "dot", counting_dot)
+    monkeypatch.setattr(rd, "pair", None)
     sp6 = build_root_datum("Sp6")
-    # one <alpha, alpha^vee> per root, one <beta, alpha^vee> per root pair
-    assert len(calls) == len(sp6.roots) + len(sp6.roots) ** 2 == 342
+    # one <alpha, beta^vee> per ordered pair of roots, read off the root
+    # functionals that the check leaves in the memo with the other tables
+    # it served
+    assert len(calls) == len(sp6.roots) ** 2 == 324
+    memoized = {key[0].__name__ for key in sp6._memo}
+    assert memoized == {"root_functionals", "_root_index_map",
+                        "_coroot_index_map", "simple_root_coords"}

@@ -36,3 +36,23 @@ def test_no_fractions_imports_in_package():
             if any(name.split(".")[0] == "fractions" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_level_caches_in_package():
+    # tables derived from a datum live in its memo (root_datum.per_datum)
+    # and are freed with it; only the Smith form, keyed on the matrix
+    # itself, is cached for the whole process
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = (decorator.func if isinstance(decorator, ast.Call)
+                          else decorator)
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if (name in ("lru_cache", "cache")
+                        and node.name != "_smith_normal_form_cached"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
