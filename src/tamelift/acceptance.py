@@ -152,16 +152,19 @@ def run_criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def run_criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The kernel of (q - w) mod N equals the image of the averaging matrix
-    for every lift-sweep configuration; exhaustive counting when N^r is
-    small enough, Smith-form order comparison otherwise."""
+    for every lift-sweep configuration, counted two independent ways: over
+    all vectors (meeting in the middle) and through Smith normal form."""
     del seed  # the sweep is already exhaustive
     start = time.perf_counter()
     cases = 0
     failures: list[str] = []
     for preset, datum, q, f, w in _lift_sweep():
         cases += 1
-        if not simple_trick_check(datum, q, f, w):
-            failures.append(f"{preset} q={q} f={f} w={list(w.word)}")
+        exhaustive = simple_trick_check(datum, q, f, w, method="exhaustive")
+        snf = simple_trick_check(datum, q, f, w, method="snf")
+        if not (exhaustive and snf):
+            failures.append(f"{preset} q={q} f={f} w={list(w.word)}: "
+                            f"exhaustive={exhaustive} snf={snf}")
     return _finish(2, start, cases, failures)
 
 

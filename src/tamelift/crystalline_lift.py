@@ -35,8 +35,10 @@ from .lattice import (
 from .root_datum import RootDatum, WeylElement, is_regular_cochar, per_datum
 from .tame_reps import TameInertialPair, _require_valid
 
-EXHAUSTIVE_CAP = 10 ** 7
-EXHAUSTIVE_AUTO_CAP = 10 ** 6
+# bounds on N^ceil(r/2): about the exhaustive count's steps, and the most
+# entries one of its tables can hold (about 50 MB of tables at the hard cap)
+EXHAUSTIVE_CAP = 2 * 10 ** 5
+EXHAUSTIVE_AUTO_CAP = 2 * 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,14 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     The image always sits inside the kernel, because (q - w) composed with
     the averaging matrix is multiplication by N when w^f is the identity;
     the check compares sizes, so a True is a certificate of equality.
-    Methods: "exhaustive" enumerates all N^r vectors and counts both
-    kernels directly; "snf" counts them through Smith normal form; "auto"
-    picks exhaustive when N^r is small, snf otherwise.  The averaged matrix
-    and its Smith form come from the configuration's lift plan, which
-    raises LiftHypothesisError unless w^f is the identity.
+    Methods: "exhaustive" counts both kernels over all N^r vectors without
+    the Smith form, meeting in the middle: the residues of one half of the
+    coordinates are tabulated and those of the other half looked up, about
+    N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf" counts
+    them through Smith normal form; "auto" picks exhaustive when
+    N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  The
+    averaged matrix and its Smith form come from the configuration's lift
+    plan, which raises LiftHypothesisError unless w^f is the identity.
     """
     if method not in ("auto", "exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
@@ -252,15 +257,17 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
         return True
     ker_mat = mat_add(mat_scale(q, identity_matrix(rank)),
                       mat_scale(-1, w.matrix))
+    larger_half = (rank + 1) // 2
     if method == "auto":
-        method = "exhaustive" if n ** rank <= EXHAUSTIVE_AUTO_CAP else "snf"
+        method = ("exhaustive" if n ** larger_half <= EXHAUSTIVE_AUTO_CAP
+                  else "snf")
     if method == "exhaustive":
-        if n ** rank > EXHAUSTIVE_CAP:
+        if n ** larger_half > EXHAUSTIVE_CAP:
             raise GuardError(
-                f"exhaustive exactness check out of range: {n}^{rank} "
-                f"vectors exceed {EXHAUSTIVE_CAP}")
-        ker_count = _count_kernel_by_enumeration(ker_mat, n)
-        xi_ker_count = _count_kernel_by_enumeration(plan.xi_bar, n)
+                f"exhaustive exactness check out of range: {n}^{larger_half} "
+                f"half-vectors exceed {EXHAUSTIVE_CAP}")
+        ker_count = _count_kernel_by_halves(ker_mat, n)
+        xi_ker_count = _count_kernel_by_halves(plan.xi_bar, n)
     else:
         ker_count = _count_kernel_by_snf(smith_normal_form(ker_mat), n)
         xi_ker_count = _count_kernel_by_snf(plan.xi_smith, n)
@@ -271,28 +278,45 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     return image_count == ker_count
 
 
-def _count_kernel_by_enumeration(mat: Mat, n: int) -> int:
-    # Odometer over (Z/n)^rank with residues updated incrementally: bumping
-    # coordinate i adds column i once, and a wrap (n -> 0) is free mod n.
+def _count_kernel_by_halves(mat: Mat, n: int) -> int:
+    """Kernel size mod n of a square matrix, counted over all n^r vectors
+    without its Smith form: split x = (x1, x2) with |x1| = floor(r/2);
+    A x = 0 exactly when A1 x1 = -A2 x2, so tabulate the residues of A1 x1
+    with their multiplicities and look up each residue of -A2 x2.  Costs
+    about n^ceil(r/2) steps; the table has at most n^floor(r/2) entries."""
     rank = len(mat)
     cols = [tuple(row[i] % n for row in mat) for i in range(rank)]
-    rows = range(len(mat))
+    half = rank // 2
+    table = _residue_counts(cols[:half], n, rank)
+    neg = [tuple(-c % n for c in col) for col in cols[half:]]
+    # the larger half is streamed: all but its last column are tabulated,
+    # so no table outgrows the first half's
+    last = _residue_counts(neg[-1:], n, rank)
     count = 0
-    vec = [0] * rank
-    res = [0] * len(mat)
-    while True:
-        if not any(res):
-            count += 1
-        for i in range(rank):
-            vec[i] += 1
-            col = cols[i]
-            for j in rows:
-                res[j] = (res[j] + col[j]) % n
-            if vec[i] < n:
-                break
-            vec[i] = 0
-        else:
-            return count
+    for v, m in _residue_counts(neg[:-1], n, rank).items():
+        for s, k in last.items():
+            count += m * k * table.get(
+                tuple([(a + b) % n for a, b in zip(v, s)]), 0)
+    return count
+
+
+def _residue_counts(cols: list[Vec], n: int, rows: int) -> dict[Vec, int]:
+    """How many t in (Z/n)^len(cols) give each residue of sum t_i cols[i]
+    mod n, built one column at a time from that column's multiples: a
+    column of additive order d = n / gcd(n, entries) has d distinct
+    multiples, each n / d times."""
+    counts = {(0,) * rows: 1}
+    for col in cols:
+        order = n // gcd(n, *col)
+        steps = [tuple(t * c % n for c in col) for t in range(order)]
+        grown: dict[Vec, int] = {}
+        for v, m in counts.items():
+            m *= n // order
+            for s in steps:
+                key = tuple([(a + b) % n for a, b in zip(v, s)])
+                grown[key] = grown.get(key, 0) + m
+        counts = grown
+    return counts
 
 
 def _count_kernel_by_snf(snf: tuple[Mat, Mat, Mat], n: int) -> int:

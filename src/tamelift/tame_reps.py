@@ -13,11 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .dynamic import (
-    ParabolicType,
-    normalizer_element_in_parabolic,
-    parabolic_of,
-)
+from .dynamic import ParabolicType, parabolic_of
 from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
@@ -38,6 +34,7 @@ from .root_datum import (
     per_datum,
     root_functionals,
     root_pairings,
+    root_permutation,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
@@ -269,7 +266,8 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
                 f"oracle out of range: rank {datum.rank} exceeds "
                 f"{ORACLE_RANK_CAP}; pass an explicit limit to override")
         limit = ORACLE_WEYL_CAP
-    return list(_stable_proper_parabolics(datum, p.w.matrix, limit))
+    return [ParabolicType(datum, *record)
+            for record in _stable_proper_parabolics(datum, p.w.matrix, limit)]
 
 
 @per_datum
@@ -310,8 +308,16 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+# The memo keeps a parabolic as (defining cochar, nonneg, levi, unipotent),
+# a ParabolicType's fields without its datum: a ParabolicType in the datum's
+# own memo would refer back to the datum, which only the cycle collector
+# could then free.
+_ParabolicRecord = tuple[Vec, frozenset[int], frozenset[int], frozenset[int]]
+
+
 @per_datum
-def _torus_parabolics(datum: RootDatum, limit: int) -> tuple[ParabolicType, ...]:
+def _torus_parabolics(datum: RootDatum,
+                      limit: int) -> tuple[_ParabolicRecord, ...]:
     """Every proper parabolic containing the torus, once each, in order of
     first appearance among the translates u.mu."""
     seen = set()
@@ -321,17 +327,21 @@ def _torus_parabolics(datum: RootDatum, limit: int) -> tuple[ParabolicType, ...]
             candidate = parabolic_of(datum, u.apply(mu))
             if candidate.nonneg_roots not in seen:
                 seen.add(candidate.nonneg_roots)
-                found.append(candidate)
+                found.append((candidate.defining_cochar,
+                              candidate.nonneg_roots, candidate.levi_roots,
+                              candidate.unipotent_roots))
     return tuple(found)
 
 
 @per_datum
 def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
-                              limit: int) -> tuple[ParabolicType, ...]:
-    w = WeylElement(matrix=w_matrix)
-    found = [candidate for candidate in _torus_parabolics(datum, limit)
-             if normalizer_element_in_parabolic(datum, w, candidate)]
-    found.sort(key=lambda c: tuple(sorted(c.nonneg_roots)))
+                              limit: int) -> tuple[_ParabolicRecord, ...]:
+    # w stabilizes a parabolic when its root permutation maps the
+    # nonnegative roots onto themselves (normalizer_element_in_parabolic)
+    perm = root_permutation(datum, WeylElement(matrix=w_matrix))
+    found = [record for record in _torus_parabolics(datum, limit)
+             if {perm[i] for i in record[1]} == record[1]]
+    found.sort(key=lambda record: tuple(sorted(record[1])))
     return tuple(found)
 
 

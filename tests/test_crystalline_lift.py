@@ -5,10 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamelift import crystalline_lift
+from tamelift.acceptance import _lift_sweep
 from tamelift.crystalline_lift import (
+    EXHAUSTIVE_CAP,
     CrysCharTuple,
+    _count_kernel_by_halves,
+    _count_kernel_by_snf,
+    _lift_plan,
     averaged_scale_matrix,
     frobenius_shift,
     kernel_membership,
@@ -25,7 +32,15 @@ from tamelift.errors import (
     InvalidPairError,
     LiftHypothesisError,
 )
-from tamelift.lattice import identity_matrix, mat_pow, mat_vec, vec_mod
+from tamelift.lattice import (
+    identity_matrix,
+    mat_add,
+    mat_pow,
+    mat_scale,
+    mat_vec,
+    smith_normal_form,
+    vec_mod,
+)
 from tamelift.root_datum import (
     build_root_datum,
     weyl_from_word,
@@ -207,16 +222,87 @@ def test_simple_trick_trivial_modulus():
 
 
 def test_simple_trick_guard_and_method_errors():
-    gl4 = build_root_datum("GL4")
+    # the exhaustive guard bounds N^ceil(r/2): GL2 at q=443, f=2 has
+    # N = 196,248 just under EXHAUSTIVE_CAP, q=449 has N = 201,600 over it
+    ident = weyl_identity(GL2)
+    assert 443 ** 2 - 1 <= EXHAUSTIVE_CAP < 449 ** 2 - 1
+    assert simple_trick_check(GL2, 443, 2, ident, method="exhaustive")
     with pytest.raises(GuardError):
-        simple_trick_check(gl4, 5, 3, weyl_identity(gl4), method="exhaustive")
-    assert simple_trick_check(gl4, 5, 3, weyl_identity(gl4), method="snf")
+        simple_trick_check(GL2, 449, 2, ident, method="exhaustive")
+    assert simple_trick_check(GL2, 449, 2, ident, method="snf")
+    gl4 = build_root_datum("GL4")
+    assert 728 ** 2 > EXHAUSTIVE_CAP
+    with pytest.raises(GuardError):
+        simple_trick_check(gl4, 3, 6, weyl_identity(gl4), method="exhaustive")
+    assert simple_trick_check(gl4, 3, 6, weyl_identity(gl4), method="snf")
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(GL3, 3, 2, weyl_from_word(GL3, [0, 1]))
     # "sample" is gone: a sampled inclusion check cannot certify equality
     for method in ("guess", "sample"):
         with pytest.raises(ValueError):
             simple_trick_check(GL2, 3, 2, SWAP, method=method)
+
+
+def count_kernel_by_odometer(mat, n):
+    """The specification of the exhaustive count: visit every vector of
+    (Z/n)^r and count those A sends to 0 mod n.  An odometer keeps the
+    residues incrementally: bumping coordinate i adds column i once, and a
+    wrap (n -> 0) is free mod n."""
+    rank = len(mat)
+    cols = [tuple(row[i] % n for row in mat) for i in range(rank)]
+    rows = range(len(mat))
+    count = 0
+    vec = [0] * rank
+    res = [0] * len(mat)
+    while True:
+        if not any(res):
+            count += 1
+        for i in range(rank):
+            vec[i] += 1
+            col = cols[i]
+            for j in rows:
+                res[j] = (res[j] + col[j]) % n
+            if vec[i] < n:
+                break
+            vec[i] = 0
+        else:
+            return count
+
+
+@st.composite
+def square_matrices_mod(draw):
+    rank = draw(st.integers(1, 5))
+    entries = st.integers(-30, 30)
+    mat = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                        min_size=rank, max_size=rank))
+    return tuple(tuple(row) for row in mat), draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(square_matrices_mod())
+def test_halves_count_matches_odometer_and_smith_form(case):
+    mat, n = case
+    count = _count_kernel_by_halves(mat, n)
+    assert count == count_kernel_by_odometer(mat, n)
+    assert count == _count_kernel_by_snf(smith_normal_form(mat), n)
+
+
+def test_halves_count_on_every_lift_sweep_matrix():
+    # q - w and the averaged matrix of every configuration, against the
+    # Smith form everywhere and against the odometer where N^r <= 20000
+    odometer_checked = 0
+    for _, datum, q, f, w in _lift_sweep():
+        plan = _lift_plan(datum, w.matrix, q, f)
+        n = plan.modulus
+        ker_mat = mat_add(mat_scale(q, identity_matrix(datum.rank)),
+                          mat_scale(-1, w.matrix))
+        for mat in (ker_mat, plan.xi_bar):
+            count = _count_kernel_by_halves(mat, n)
+            assert count == _count_kernel_by_snf(smith_normal_form(mat), n)
+            if n ** datum.rank <= 20000:
+                assert count == count_kernel_by_odometer(mat, n)
+                odometer_checked += 1
+    assert odometer_checked == 250
 
 
 def _plan_keys(datum):

@@ -8,7 +8,11 @@ from math import lcm
 import pytest
 from fraction_reference import REFERENCE_PRESETS, coords_in_base, sheared_gl3
 
-from tamelift.dynamic import normalizer_element_in_parabolic, parabolic_of
+from tamelift.dynamic import (
+    ParabolicType,
+    normalizer_element_in_parabolic,
+    parabolic_of,
+)
 from tamelift.errors import GuardError, InvalidPairError
 from tamelift.lattice import mat_mul, mat_pow, matrix_order, vec_mod, vec_scale
 from tamelift.root_datum import (
@@ -258,7 +262,8 @@ def test_parabolic_table_matches_per_w_scan():
         for w in weyl_group_elements(datum):
             table = _stable_proper_parabolics(datum, w.matrix, ORACLE_WEYL_CAP)
             reference = reference_stable_parabolics(datum, w, ORACLE_WEYL_CAP)
-            assert [parabolic_record(par) for par in table] == \
+            assert [parabolic_record(ParabolicType(datum, *record))
+                    for record in table] == \
                 [parabolic_record(par) for par in reference], (name, w.word)
 
 
