@@ -25,6 +25,7 @@ from .lattice import (
     mat_add,
     mat_mul,
     mat_scale,
+    mat_sub,
     mat_vec,
     smith_normal_form,
     solve_mod_smith,
@@ -33,7 +34,7 @@ from .lattice import (
     zero_vec,
 )
 from .root_datum import RootDatum, WeylElement, is_regular_cochar, per_datum
-from .tame_reps import TameInertialPair, _require_valid
+from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 
 # bounds on N^ceil(r/2): about the exhaustive count's steps, and the most
 # entries one of its tables can hold (about 50 MB of tables at the hard cap)
@@ -167,6 +168,7 @@ class _LiftPlan:
     xi_bar: Mat  # averaged_scale_matrix
     xi_smith: tuple[Mat, Mat, Mat]  # its Smith form
     slot_matrices: tuple[Mat, ...]  # w^((f-1-j) mod f)
+    ker_count: int  # kernel size of q - w mod N, by its Smith form
 
     def slots(self, x: Vec) -> tuple[Vec, ...]:
         """xi of the tuple with x in slot 0 and zeros elsewhere: its slot j
@@ -187,12 +189,19 @@ def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
             f"lifting requires the Weyl element's f-th power to be the "
             f"identity (f={f})")
     xi_bar = averaged_scale_matrix(w_matrix, q, f)
+    n = q ** f - 1
     return _LiftPlan(
-        modulus=q ** f - 1,
+        modulus=n,
         xi_bar=xi_bar,
         xi_smith=smith_normal_form(xi_bar),
         slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
+        ker_count=_count_kernel_by_snf(
+            smith_normal_form(_q_minus_w(w_matrix, q)), n),
     )
+
+
+def _q_minus_w(w_matrix: Mat, q: int) -> Mat:
+    return mat_sub(mat_scale(q, identity_matrix(len(w_matrix))), w_matrix)
 
 
 def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
@@ -245,18 +254,19 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     coordinates are tabulated and those of the other half looked up, about
     N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf" counts
     them through Smith normal form; "auto" picks exhaustive when
-    N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  The
-    averaged matrix and its Smith form come from the configuration's lift
-    plan, which raises LiftHypothesisError unless w^f is the identity.
+    N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  q and f
+    are checked as a pair's are (ValueError).  The averaged matrix, its
+    Smith form and the Smith-form kernel count of q - w come from the
+    configuration's lift plan, which raises LiftHypothesisError unless w^f
+    is the identity.
     """
     if method not in ("auto", "exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
+    _require_q_f(q, f)
     plan = _lift_plan(datum, w.matrix, q, f)
     rank, n = datum.rank, plan.modulus
     if n == 1:
         return True
-    ker_mat = mat_add(mat_scale(q, identity_matrix(rank)),
-                      mat_scale(-1, w.matrix))
     larger_half = (rank + 1) // 2
     if method == "auto":
         method = ("exhaustive" if n ** larger_half <= EXHAUSTIVE_AUTO_CAP
@@ -266,10 +276,10 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
             raise GuardError(
                 f"exhaustive exactness check out of range: {n}^{larger_half} "
                 f"half-vectors exceed {EXHAUSTIVE_CAP}")
-        ker_count = _count_kernel_by_halves(ker_mat, n)
+        ker_count = _count_kernel_by_halves(_q_minus_w(w.matrix, q), n)
         xi_ker_count = _count_kernel_by_halves(plan.xi_bar, n)
     else:
-        ker_count = _count_kernel_by_snf(smith_normal_form(ker_mat), n)
+        ker_count = plan.ker_count
         xi_ker_count = _count_kernel_by_snf(plan.xi_smith, n)
     image_count, rem = divmod(n ** rank, xi_ker_count)
     if rem:

@@ -5,7 +5,6 @@ Matrices are tuples of row tuples.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 Vec = tuple[int, ...]
@@ -149,11 +148,6 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
     Pivoting is deterministic (smallest absolute value, then row-major
     position), so downstream canonical solutions are reproducible.
     """
-    return _smith_normal_form_cached(tuple(tuple(row) for row in a))
-
-
-@lru_cache(maxsize=None)
-def _smith_normal_form_cached(a: Mat) -> tuple[Mat, Mat, Mat]:
     m = len(a)
     n = len(a[0]) if m else 0
     work = [list(row) for row in a]
@@ -240,12 +234,6 @@ def _smith_normal_form_cached(a: Mat) -> tuple[Mat, Mat, Mat]:
     return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
 
 
-def snf_diagonal(a: Mat) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(a)
-    k = min(len(a), len(a[0]) if a else 0)
-    return tuple(d[i][i] for i in range(k))
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -299,25 +287,11 @@ def integer_kernel_basis(a: Mat, n: int | None = None) -> Mat:
     return hnf_rows(cols)
 
 
-def solve_mod(a: Mat, b: Vec, n: int) -> Vec | None:
-    """Canonical solution x in [0, n)^cols of a x = b (mod n), or None.
-
-    Canonical means: Smith-form particular solution with every free
-    parameter set to 0, coordinates then reduced into [0, n).
-    """
-    m = len(a)
-    cols = len(a[0]) if m else 0
-    if len(b) != m:
-        raise ValueError(f"dimension mismatch: {len(b)} vs {m}")
-    if n == 1:
-        return zero_vec(cols)
-    return solve_mod_smith(smith_normal_form(a), b, n)
-
-
 def solve_mod_smith(snf: tuple[Mat, Mat, Mat], b: Vec, n: int) -> Vec | None:
-    """`solve_mod` for a matrix given by its Smith form (d, u, v), as
-    `smith_normal_form` returns it; for callers that solve against one
-    matrix many times."""
+    """Canonical solution x in [0, n)^cols of a x = b (mod n), or None, for
+    a matrix a given by its Smith form (d, u, v), as `smith_normal_form`
+    returns it.  Canonical means: Smith-form particular solution with every
+    free parameter set to 0, coordinates then reduced into [0, n)."""
     d, u, v = snf
     m, cols = len(u), len(v)
     c = mat_vec(u, b)

@@ -20,10 +20,10 @@ from .lattice import (
     Vec,
     det,
     dot,
+    hnf_rows,
     identity_matrix,
     is_strict_int,
     mat_pow,
-    snf_diagonal,
     vec_mod,
     vec_scale,
 )
@@ -60,6 +60,20 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
+def _require_q_f(q: int, f: int) -> None:
+    """Reject (ValueError) a q that is not a prime power or an f below 1.
+    Both must be ints and not bools: floats equal to integers hash alike,
+    so one would otherwise share (and could fill) every memo keyed on q or
+    f."""
+    for name, value in (("q", q), ("f", f)):
+        if not is_strict_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not is_prime_power(q):
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if f < 1:
+        raise ValueError(f"f must be a positive integer, got {f}")
+
+
 @dataclass(frozen=True)
 class TameInertialPair:
     """The tuple (q, f, vbar, w); vbar is stored reduced to [0, N)."""
@@ -70,18 +84,10 @@ class TameInertialPair:
     w: WeylElement
 
     def __post_init__(self):
-        # floats equal to integers hash alike, so one would otherwise share
-        # (and could fill) every cache keyed on q or f
-        for name, value in (("q", self.q), ("f", self.f)):
-            if not is_strict_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_q_f(self.q, self.f)
         if not all(is_strict_int(x) for x in self.vbar):
             raise ValueError(
                 f"vbar entries must be integers, got {tuple(self.vbar)!r}")
-        if not is_prime_power(self.q):
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-        if self.f < 1:
-            raise ValueError(f"f must be a positive integer, got {self.f}")
         if len(self.vbar) != len(self.w.matrix):
             raise ValueError(
                 f"vbar has {len(self.vbar)} entries but the Weyl element "
@@ -276,17 +282,15 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     pairing zero on a proper subset of the simple roots, positive outside.
 
     mu solves rows . mu = keep (rows: the simple-root functionals) with
-    mu zero off the pivot columns, where the rank of the column prefix
-    grows; on those columns the system is square and nonsingular, because
-    the simple roots are independent.  Cramer's rule gives the solution
-    y / D, and mu is its least positive integral multiple."""
+    mu zero off the pivot columns of the rows' echelon form, where the rank
+    of the column prefix grows; on those columns the system is square and
+    nonsingular, because the simple roots are independent.  Cramer's rule
+    gives the solution y / D, and mu is its least positive integral
+    multiple."""
     functionals = root_functionals(datum)
     rows = [functionals[i] for i in datum.simple_roots]
-    pivots = []
-    for col in range(datum.rank):
-        prefix = tuple(row[:col + 1] for row in rows)
-        if sum(1 for x in snf_diagonal(prefix) if x) > len(pivots):
-            pivots.append(col)
+    pivots = [next(c for c, x in enumerate(row) if x)
+              for row in hnf_rows(rows)]
     square = [[row[c] for c in pivots] for row in rows]
     d = det(square)
     out = []

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelift import crystalline_lift
-from tamelift.acceptance import _lift_sweep
+from tamelift.acceptance import (
+    LIFT_DEGREES,
+    LIFT_PRESETS,
+    LIFT_PRIME_POWERS,
+    _lift_sweep,
+)
 from tamelift.crystalline_lift import (
     EXHAUSTIVE_CAP,
     CrysCharTuple,
@@ -40,6 +45,7 @@ from tamelift.lattice import (
     mat_vec,
     smith_normal_form,
     vec_mod,
+    vec_scale,
 )
 from tamelift.root_datum import (
     build_root_datum,
@@ -129,18 +135,29 @@ def test_reduction_examples():
     assert reduction(make_crys_tuple(GL2, 3, [(0, 0), (8, 0)])) == (0, 0)
 
 
-def test_reduction_equivariance():
-    rng = random.Random(9)
-    for name in ["GL2", "Sp4"]:
-        datum = build_root_datum(name)
-        for q, f in [(2, 2), (3, 2), (3, 3)]:
-            n = q ** f - 1
-            for w in weyl_group_elements(datum):
-                v = random_tuple(rng, datum, q, f)
-                red = reduction(v)
-                assert reduction(frobenius_shift(v)) == \
-                    vec_mod(tuple(q * c for c in red), n)
-                assert reduction(weyl_act(w, v)) == vec_mod(w.apply(red), n)
+LIFT_DATA = {name: build_root_datum(name) for name in LIFT_PRESETS}
+
+
+@st.composite
+def lift_sweep_tuples(draw):
+    datum = LIFT_DATA[draw(st.sampled_from(LIFT_PRESETS))]
+    q = draw(st.sampled_from(LIFT_PRIME_POWERS))
+    f = draw(st.sampled_from(LIFT_DEGREES))
+    slot = st.tuples(*[st.integers(-200, 200)] * datum.rank)
+    return make_crys_tuple(datum, q,
+                           draw(st.lists(slot, min_size=f, max_size=f)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(lift_sweep_tuples())
+def test_reduction_equivariance(v):
+    # rotating the slots multiplies the reduction by q, and every w (w^f
+    # need not be 1) acts on the reduction as on each slot
+    n = v.modulus
+    red = reduction(v)
+    assert reduction(frobenius_shift(v)) == vec_mod(vec_scale(v.q, red), n)
+    for w in weyl_group_elements(v.datum):
+        assert reduction(weyl_act(w, v)) == vec_mod(w.apply(red), n)
 
 
 def test_kernel_membership_examples():
@@ -313,25 +330,57 @@ def _plan_keys(datum):
 
 def test_simple_trick_check_shares_the_lift_plan(monkeypatch):
     builds = []
+    smith_forms = []
 
     def counting_average(*args):
         builds.append(args)
         return averaged_scale_matrix(*args)
 
+    def counting_smith(a):
+        smith_forms.append(a)
+        return smith_normal_form(a)
+
     monkeypatch.setattr(crystalline_lift, "averaged_scale_matrix",
                         counting_average)
+    monkeypatch.setattr(crystalline_lift, "smith_normal_form", counting_smith)
     sp4 = build_root_datum("Sp4")
     w = weyl_from_word(sp4, [0, 1])
     lift_inertia(sp4, make_pair(sp4, 3, 4, (0, 0), w))
     keys = _plan_keys(sp4)
     assert len(keys) == len(builds) == 1
-    for method in ("auto", "exhaustive", "snf"):
+    # the plan holds the Smith forms' results: that of xi_bar, and the
+    # kernel count of q - w
+    assert len(smith_forms) == 2
+    for method in ("auto", "exhaustive", "snf", "snf"):
         assert simple_trick_check(sp4, 3, 4, w, method=method)
     assert _plan_keys(sp4) == keys and len(builds) == 1
+    assert len(smith_forms) == 2
     # a refused configuration leaves no plan behind
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(sp4, 3, 3, w)
     assert _plan_keys(sp4) == keys
+
+
+@pytest.mark.parametrize("q, f", [
+    (3.0, 2), (3, 2.0), (True, 2), (3, True),
+    (1, 2), (6, 2), (3, 0), (3, -1),
+])
+def test_simple_trick_check_rejects_q_and_f_before_the_plan(q, f):
+    # a float q equal to 3 used to leave a float plan in the datum's memo
+    # and a float Smith form under the integer matrix's key, after which
+    # lifts of GL2 (q=3, f=2), on that datum or a fresh one, raised
+    # TypeError; f = 0 and q = 1 raised ZeroDivisionError
+    gl2 = build_root_datum("GL2")
+    swap = weyl_from_word(gl2, [0])
+    with pytest.raises(ValueError, match="^[qf] must be"):
+        simple_trick_check(gl2, q, f, swap, method="snf")
+    assert _plan_keys(gl2) == []
+    for datum in (gl2, build_root_datum("GL2")):
+        w = weyl_from_word(datum, [0])
+        result = lift_inertia(datum, make_pair(datum, 3, 2, (1, 3), w))
+        assert result.tuple.slots == ((1, 0), (0, 1))
+        assert all(type(x) is int for s in result.tuple.slots for x in s)
+        assert simple_trick_check(datum, 3, 2, w, method="snf")
 
 
 def test_lift_to_dict():

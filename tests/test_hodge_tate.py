@@ -43,7 +43,8 @@ from tamelift.lattice import (
     identity_matrix,
     mat_pow,
     mat_vec,
-    solve_mod,
+    smith_normal_form,
+    solve_mod_smith,
     vec_add,
     vec_mod,
     vec_scale,
@@ -174,7 +175,8 @@ def test_regular_lift_sweep():
 
 def reference_lift(datum, p):
     n = p.modulus
-    x = solve_mod(averaged_scale_matrix(p.w.matrix, p.q, p.f), p.vbar, n)
+    xi_bar = averaged_scale_matrix(p.w.matrix, p.q, p.f)
+    x = solve_mod_smith(smith_normal_form(xi_bar), p.vbar, n)
     seed = CrysCharTuple(datum=datum, q=p.q, f=p.f,
                          slots=(x,) + (zero_vec(datum.rank),) * (p.f - 1))
     return xi_operator(p.w, seed)

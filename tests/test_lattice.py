@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from fraction_reference import rational_inverse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamelift.lattice import (
     det,
@@ -21,9 +24,8 @@ from tamelift.lattice import (
     mat_vec,
     matrix_order,
     smith_normal_form,
-    snf_diagonal,
     solve_int_smith,
-    solve_mod,
+    solve_mod_smith,
 )
 
 
@@ -105,11 +107,60 @@ def test_snf_reconstruction_and_shape():
                 assert y % x == 0
 
 
+@st.composite
+def small_integer_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    return tuple(tuple(r)
+                 for r in draw(st.lists(row, min_size=m, max_size=m)))
+
+
+def gcd_of_minors(a, k):
+    return gcd(*(det(tuple(tuple(a[i][j] for j in cols) for i in rows))
+                 for rows in combinations(range(len(a)), k)
+                 for cols in combinations(range(len(a[0])), k)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(small_integer_matrices())
+def test_snf_invariants_property(a):
+    # d_1 ... d_k is the gcd of the k x k minors: the determinantal
+    # divisors pin the diagonal down independently of the pivoting
+    d, u, v = smith_normal_form(a)
+    assert all(type(x) is int for mat in (d, u, v) for row in mat for x in row)
+    assert mat_mul(mat_mul(u, a), v) == d
+    assert abs(det(u)) == abs(det(v)) == 1
+    m, n = len(a), len(a[0])
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert (y % x == 0) if x else (y == 0)
+    divisor = 1
+    for k, x in enumerate(diag, 1):
+        divisor *= x
+        assert divisor == gcd_of_minors(a, k)
+
+
+def test_smith_form_of_equal_non_int_matrix_leaves_no_trace():
+    # 2.0 == 2 and True == 1 hash alike: a cache keyed on the matrix
+    # handed the float or bool entries of the first call to later calls
+    # on the equal integer matrix
+    smith_normal_form(((2.0,),))
+    smith_normal_form(((True, False), (False, True)))
+    for a in (((2,),), ((1, 0), (0, 1))):
+        d, u, v = smith_normal_form(a)
+        assert d == a
+        assert all(type(x) is int
+                   for mat in (d, u, v) for row in mat for x in row)
+
+
 def test_snf_rank_matches_rational_rank():
     rng = random.Random(102)
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        diag = snf_diagonal(a)
+        d, _, _ = smith_normal_form(a)
+        diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
         assert sum(1 for x in diag if x != 0) == frac_rank(a)
 
 
@@ -173,7 +224,7 @@ def test_solve_mod_against_brute_force():
         modulus = rng.randint(2, 7)
         a = random_matrix(rng, rng.randint(1, 2), n, bound=6)
         b = tuple(rng.randint(-6, 6) for _ in a)
-        x = solve_mod(a, b, modulus)
+        x = solve_mod_smith(smith_normal_form(a), b, modulus)
         brute = [
             v
             for v in product(range(modulus), repeat=n)
@@ -190,7 +241,8 @@ def test_solve_mod_against_brute_force():
 def test_solve_mod_is_deterministic():
     a = ((3, 1), (1, 3))
     b = (1, 3)
-    assert solve_mod(a, b, 8) == solve_mod(a, b, 8)
+    assert (solve_mod_smith(smith_normal_form(a), b, 8)
+            == solve_mod_smith(smith_normal_form(a), b, 8))
 
 
 def test_rational_inverse_roundtrip():
@@ -242,7 +294,8 @@ def test_solve_int_smith_against_oracles():
         else:
             appended = tuple(row + (bi,) for row, bi in zip(a, b))
             assert (frac_rank(appended) > frac_rank(a)
-                    or any(solve_mod(a, b, n) is None for n in range(2, 200)))
+                    or any(solve_mod_smith(snf, b, n) is None
+                           for n in range(2, 200)))
 
 
 def test_matrix_order():

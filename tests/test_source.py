@@ -40,8 +40,9 @@ def test_no_fractions_imports_in_package():
 
 def test_no_module_level_caches_in_package():
     # tables derived from a datum live in its memo (root_datum.per_datum)
-    # and are freed with it; only the Smith form, keyed on the matrix
-    # itself, is cached for the whole process
+    # and are freed with it; nothing is cached for the whole process, where
+    # a float or bool key equal to an integer one could fill an entry that
+    # integer data then reads
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -52,7 +53,6 @@ def test_no_module_level_caches_in_package():
                 target = (decorator.func if isinstance(decorator, ast.Call)
                           else decorator)
                 name = getattr(target, "id", getattr(target, "attr", None))
-                if (name in ("lru_cache", "cache")
-                        and node.name != "_smith_normal_form_cached"):
+                if name in ("lru_cache", "cache"):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
