@@ -11,7 +11,9 @@ algorithm inverts that reduction on compatible pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import mul
 
 from .errors import (
     GuardError,
@@ -22,6 +24,7 @@ from .lattice import (
     Mat,
     Vec,
     identity_matrix,
+    is_strict_int,
     mat_add,
     mat_mul,
     mat_scale,
@@ -30,7 +33,6 @@ from .lattice import (
     smith_normal_form,
     solve_mod_smith,
     vec_add,
-    vec_mod,
     zero_vec,
 )
 from .root_datum import RootDatum, WeylElement, is_regular_cochar, per_datum
@@ -52,8 +54,7 @@ class CrysCharTuple:
     slots: tuple[Vec, ...]
 
     def __post_init__(self):
-        if self.f < 1:
-            raise ValueError(f"f must be a positive integer, got {self.f}")
+        _require_q_f(self.q, self.f)
         if len(self.slots) != self.f:
             raise ValueError(
                 f"expected {self.f} slots, got {len(self.slots)}")
@@ -62,6 +63,8 @@ class CrysCharTuple:
             if len(s) != self.datum.rank:
                 raise ValueError(
                     f"slot {s} does not have rank {self.datum.rank}")
+        if not all(map(is_strict_int, chain.from_iterable(slots))):
+            raise ValueError(f"slot entries must be integers, got {slots!r}")
         object.__setattr__(self, "slots", slots)
 
     @property
@@ -132,12 +135,9 @@ def reduction(v: CrysCharTuple) -> Vec:
     slots acts by w on the reduction.
     """
     n = v.modulus
-    total = zero_vec(v.datum.rank)
-    power = 1
-    for s in v.slots:
-        total = vec_add(total, tuple(power * c for c in s))
-        power *= v.q
-    return vec_mod(total, n)
+    powers = [v.q ** j for j in range(v.f)]
+    return tuple([sum(map(mul, powers, coords)) % n
+                  for coords in zip(*v.slots)])
 
 
 def kernel_membership(w: WeylElement, v: CrysCharTuple) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import mod, not_
 
 from .crystalline_lift import (
     CrysCharTuple,
@@ -23,8 +25,22 @@ from .crystalline_lift import (
     reduction,
 )
 from .errors import InternalConsistencyError, MultisetDivisionError
-from .lattice import Mat, Vec, vec_add, vec_neg, vec_scale, zero_vec
-from .root_datum import RootDatum, is_regular_cochar, per_datum, root_pairings
+from .lattice import (
+    Mat,
+    Vec,
+    mat_mul,
+    mat_vec,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    zero_vec,
+)
+from .root_datum import (
+    RootDatum,
+    is_regular_cochar,
+    per_datum,
+    root_functionals,
+)
 from .tame_reps import TameInertialPair
 
 
@@ -100,22 +116,32 @@ class RegularLiftResult(LiftResult):
 
 @dataclass(frozen=True)
 class _RegularPlan:
-    """What every regularization of one (datum, w, q, f) shares, for the
-    averaged canonical seed: slot j of xi(seed) is M_j . s, with M_j the
-    lift plan's slot matrix and s `canonical_regular_cochar`."""
+    """What every regularization of one (datum, w, q, f) shares: the
+    pairing tables G_j = F . M_j, with F the root functionals (one row per
+    root, `root_functionals`) and M_j the lift plan's slot matrices.  Slot
+    j of a lift from the slot-0 seed y is M_j . y, and row alpha of G_j
+    times y is its pairing with root alpha, so one product per table row
+    gives every (root, slot) pairing of the lift.  The rows are stacked in
+    slot order, and the seed steps follow the same order, computed from
+    the same rows for the regular seed s = `canonical_regular_cochar`."""
 
-    seed_slots: tuple[Vec, ...]  # M_j . s
-    seed_pairings: tuple[Vec, ...]  # <alpha, M_j . s> per root; never 0
+    seed: Vec  # s
+    pairing_rows: Mat  # rows of G_0, then of G_1, ...
+    seed_steps: Vec  # N . (row . s) = N . <alpha, M_j . s>; never 0
 
 
 @per_datum
 def _regular_plan(datum: RootDatum, w_matrix: Mat, q: int,
                   f: int) -> _RegularPlan:
-    seed_slots = _lift_plan(datum, w_matrix, q, f).slots(
-        canonical_regular_cochar(datum))
+    lift = _lift_plan(datum, w_matrix, q, f)
+    seed = canonical_regular_cochar(datum)
+    functionals = root_functionals(datum)
+    rows = tuple(row for m in lift.slot_matrices
+                 for row in mat_mul(functionals, m))
     return _RegularPlan(
-        seed_slots=seed_slots,
-        seed_pairings=tuple(root_pairings(datum, a) for a in seed_slots),
+        seed=seed,
+        pairing_rows=rows,
+        seed_steps=vec_scale(lift.modulus, mat_vec(rows, seed)),
     )
 
 
@@ -123,31 +149,29 @@ def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
     """Hodge-Tate regular lift with the same reduction.
 
     Adds C . N times the averaged seed to the base lift, for the smallest
-    C >= 0 making every colabel regular.  The averaged seed's slots are
-    Weyl translates of a regular cocharacter, hence themselves regular:
-    root alpha pairs with slot j of the sum as P + C . N . A, where P and
-    A are its pairings with the base slot and the seed slot and A is never
-    0.  So each (root, slot) forbids at most one C, namely -P / (N . A)
-    when that is a nonnegative integer, and C is the least value none
-    forbids, found in closed form rather than by trying one C after
+    C >= 0 making every colabel regular: both are lifts from a slot-0 seed
+    (x for the base, s for the averaged seed), so the sum is the lift from
+    x + C . N . s.  The averaged seed's slots are Weyl translates of the
+    regular s, hence themselves regular: root alpha pairs with slot j of
+    the sum as P + C . N . A, where P = G_j[alpha] . x and
+    N . A = G_j[alpha] . s . N, the plan's step for that table row, is
+    never 0.  So each table row forbids at most one C, namely
+    -P / (N . A) when that is an integer, and C is the least nonnegative
+    value none forbids: the products of the rows with x, one pass over the
+    table, give it in closed form rather than by trying one C after
     another.  The returned tuple's kernel condition, reduction and
     regularity are re-verified.
     """
     lift, x = _solve_seed(datum, p)
     plan = _regular_plan(datum, p.w.matrix, p.q, p.f)
-    step = lift.modulus
-    base = lift.slots(x)
-    forbidden = set()
-    for slot, seed_pairings in zip(base, plan.seed_pairings):
-        for base_pairing, a in zip(root_pairings(datum, slot), seed_pairings):
-            c, rem = divmod(-base_pairing, step * a)
-            if not rem and c >= 0:
-                forbidden.add(c)
+    steps = plan.seed_steps
+    pairings = mat_vec(plan.pairing_rows, x)
+    divisible = map(not_, map(mod, pairings, steps))
+    forbidden = {-a // b for a, b in compress(zip(pairings, steps), divisible)}
     c = 0
     while c in forbidden:
         c += 1
-    slots = tuple(vec_add(b, vec_scale(c * step, a))
-                  for b, a in zip(base, plan.seed_slots))
+    slots = lift.slots(vec_add(x, vec_scale(c * lift.modulus, plan.seed)))
     candidate = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
     kernel_ok = kernel_membership(p.w, candidate)
     reduction_ok = reduction(candidate) == p.vbar

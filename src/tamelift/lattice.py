@@ -6,6 +6,7 @@ Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from math import gcd
+from operator import add, mul, neg, sub
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -24,31 +25,31 @@ def is_strict_int(value) -> bool:
 def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vec_scale(c: int, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def vec_mod(u: Vec, n: int) -> Vec:
-    return tuple(a % n for a in u)
+    return tuple([a % n for a in u])
 
 
 def zero_vec(n: int) -> Vec:
@@ -63,14 +64,18 @@ def identity_matrix(n: int) -> Mat:
 
 
 def mat_vec(a: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in a)
+    n = len(x)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {n}")
+    return tuple([sum(map(mul, row, x)) for row in a])
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"dimension mismatch: {len(a[0])} vs {len(b)}")
     bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_transpose(a: Mat) -> Mat:

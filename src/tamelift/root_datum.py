@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DatumValidationError, GuardError
 from .lattice import (
@@ -88,10 +89,25 @@ def per_datum(fn):
 @dataclass(frozen=True, eq=False)
 class WeylElement:
     """Integer matrix acting on the cocharacter lattice, with an optional
-    word in simple reflections recording how it was built."""
+    word in simple reflections recording how it was built.  A matrix that
+    is not square, has an entry that is not an int (or is a bool), or has
+    determinant other than +-1 is rejected with ValueError;
+    `weyl_from_matrix` also checks that the matrix lies in W."""
 
     matrix: Mat
     word: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # the memos key on the matrix, so a float or bool matrix equal to
+        # an integer one would share, and fill, the integer entries
+        matrix = tuple(tuple(row) for row in self.matrix)
+        if any(len(row) != len(matrix) for row in matrix):
+            raise ValueError("Weyl matrix must be square")
+        if any(not is_strict_int(x) for row in matrix for x in row):
+            raise ValueError("Weyl matrix entries must be integers")
+        if det(matrix) not in (1, -1):
+            raise ValueError("Weyl matrix is not invertible over Z")
+        object.__setattr__(self, "matrix", matrix)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -130,8 +146,8 @@ def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
         raise ValueError(
             f"dimension mismatch: expected rank {datum.rank}, "
             f"got {len(cochar)}")
-    return tuple(sum(a * y for a, y in zip(row, cochar))
-                 for row in root_functionals(datum))
+    return tuple([sum(map(mul, row, cochar))
+                  for row in root_functionals(datum)])
 
 
 def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
@@ -529,17 +545,14 @@ def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
     matrix = tuple(tuple(row) for row in matrix)
     if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
         raise ValueError(f"Weyl matrix must be {datum.rank}x{datum.rank}")
-    if any(not is_strict_int(x) for row in matrix for x in row):
-        raise ValueError("Weyl matrix entries must be integers")
-    if det(matrix) not in (1, -1):
-        raise ValueError("Weyl matrix is not invertible over Z")
+    w = WeylElement(matrix=matrix, word=None)  # integer and unimodular
     # the root permutation raises unless the coroots are permuted with the
     # pairing preserved
-    if not _descends_to_identity(datum, matrix):
+    if not _descends_to_identity(datum, w.matrix):
         raise ValueError(
             f"matrix is not a Weyl group element of {datum.label}: it "
             f"preserves the root datum but lies outside W")
-    return WeylElement(matrix=matrix, word=None)
+    return w
 
 
 def _descends_to_identity(datum: RootDatum, matrix: Mat) -> bool:

@@ -129,6 +129,29 @@ def test_xi_output_always_satisfies_kernel_condition():
                     assert kernel_membership(w, xi_operator(w, v))
 
 
+def test_crys_tuple_rejects_non_integer_slots():
+    # accepted, the half-integer slot reduced to (1.5, 3)
+    for slots in ([(1.5, 0), (0, 1)], [(1, 0), (0, True)]):
+        with pytest.raises(ValueError, match="slot entries must be integers"):
+            make_crys_tuple(GL2, 3, slots)
+
+
+def test_crys_tuple_rejects_q_that_is_not_an_int():
+    # accepted, q = True gave N = 0 and a ZeroDivisionError in reduction
+    for q in (True, 3.0):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            make_crys_tuple(GL2, q, [(1, 0), (0, 1)])
+
+
+def test_crys_tuple_checks_q_and_f_as_a_pair_does():
+    # accepted, q = 1 gave N = 0 and a ZeroDivisionError in reduction
+    for q in (1, 6):
+        with pytest.raises(ValueError, match="prime power"):
+            make_crys_tuple(GL2, q, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="f must be a positive integer"):
+        CrysCharTuple(datum=GL2, q=3, f=0, slots=())
+
+
 def test_reduction_examples():
     assert reduction(make_crys_tuple(GL2, 3, [(1, 0), (0, 1)])) == (1, 3)
     assert reduction(make_crys_tuple(GL2, 3, [(0, 0), (0, 0)])) == (0, 0)

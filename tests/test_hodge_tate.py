@@ -4,10 +4,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamelift.crystalline_lift as crystalline_lift
 import tamelift.hodge_tate as hodge_tate
-from tamelift.acceptance import _lift_sweep
+from tamelift.acceptance import (
+    LIFT_DEGREES,
+    LIFT_PRESETS,
+    LIFT_PRIME_POWERS,
+    _lift_sweep,
+)
 from tamelift.crystalline_lift import (
     CrysCharTuple,
     averaged_scale_matrix,
@@ -216,6 +223,35 @@ def test_plan_lifts_match_the_reference_on_the_lift_sweep():
             multipliers.append(result.seed_multiplier)
     assert len(multipliers) == 156 * 3
     assert 0 < multipliers.count(0) < len(multipliers)
+
+
+LIFT_DATA = {name: build_root_datum(name) for name in LIFT_PRESETS}
+
+
+@st.composite
+def lift_sweep_pairs(draw):
+    """A lift-sweep preset, q and f, a w with w^f = 1, and the pair with
+    vbar = xi_bar . x mod N for an x drawn from [0, N)^r."""
+    datum = LIFT_DATA[draw(st.sampled_from(LIFT_PRESETS))]
+    q = draw(st.sampled_from(LIFT_PRIME_POWERS))
+    f = draw(st.sampled_from(LIFT_DEGREES))
+    ident = identity_matrix(datum.rank)
+    w = draw(st.sampled_from([w for w in weyl_group_elements(datum)
+                              if mat_pow(w.matrix, f) == ident]))
+    n = q ** f - 1
+    x = draw(st.tuples(*[st.integers(0, n - 1)] * datum.rank))
+    vbar = vec_mod(mat_vec(averaged_scale_matrix(w.matrix, q, f), x), n)
+    return datum, make_pair(datum, q, f, vbar, w)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(lift_sweep_pairs())
+def test_plan_lifts_match_the_reference_property(case):
+    datum, p = case
+    assert lift_inertia(datum, p).tuple == reference_lift(datum, p)
+    result = regular_lift(datum, p)
+    assert (result.tuple.slots, result.seed_multiplier) == \
+        reference_regular_lift(datum, p)
 
 
 def test_lifts_reuse_one_plan_per_configuration(monkeypatch):

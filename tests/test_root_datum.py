@@ -180,6 +180,28 @@ def test_weyl_from_matrix_validates():
         weyl_from_matrix(gl2, [[False, True], [True, False]])
 
 
+def test_weyl_element_rejects_matrices_outside_gl_n_of_z():
+    gl3 = build_root_datum("GL3")
+    s0 = weyl_from_word(gl3, "s0").matrix
+    float_s0 = tuple(tuple(float(x) for x in row) for row in s0)
+    for matrix in (float_s0, ((True, False), (False, True))):
+        with pytest.raises(ValueError, match="must be integers"):
+            WeylElement(matrix=matrix)
+    with pytest.raises(ValueError, match="square"):
+        WeylElement(matrix=((1, 0),))
+    with pytest.raises(ValueError, match="not invertible"):
+        WeylElement(matrix=((2, 0), (0, 1)))
+    assert WeylElement(matrix=[[0, 1], [1, 0]]).matrix == ((0, 1), (1, 0))
+    # accepted, a float s0 filled the datum's memo entries for the integer
+    # s0: its fixed space then came back as ((1.0, 1.0, 0.0), (0, 0, 1))
+    verdict = is_G_irreducible(
+        gl3, make_pair(gl3, 2, 2, (1, 2, 0), WeylElement(matrix=s0)))
+    assert all(type(x) is int for x in verdict.fixed_cochar)
+    fixed = weyl_fixed_space(gl3, weyl_from_word(gl3, "s0"))
+    assert fixed == ((1, 1, 0), (0, 0, 1))
+    assert all(type(x) is int for row in fixed for x in row)
+
+
 def test_weyl_fixed_space_examples():
     gl2 = build_root_datum("GL2")
     assert weyl_fixed_space(gl2, weyl_from_word(gl2, [0])) == ((1, 1),)

@@ -56,3 +56,19 @@ def test_no_module_level_caches_in_package():
                 if name in ("lru_cache", "cache"):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_integer_kernels_sum_no_generator_expressions():
+    # sum(map(operator.mul, ...)) runs the products in C; a generator
+    # expression inside sum runs them one Python frame step at a time
+    root_datum = ast.parse((PACKAGE_DIR / "root_datum.py").read_text())
+    kernels = [ast.parse((PACKAGE_DIR / "lattice.py").read_text())] + [
+        node for node in ast.walk(root_datum)
+        if isinstance(node, ast.FunctionDef) and node.name == "root_pairings"]
+    assert len(kernels) == 2
+    offenders = [node.lineno for tree in kernels for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "sum"
+                 and any(isinstance(arg, ast.GeneratorExp)
+                         for arg in node.args)]
+    assert offenders == []
