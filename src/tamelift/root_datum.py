@@ -543,23 +543,38 @@ def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
     the datum: unimodular, permutes the coroots preserving the pairing, and
     lies in W rather than only in the automorphism group of the datum."""
     matrix = tuple(tuple(row) for row in matrix)
-    if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
-        raise ValueError(f"Weyl matrix must be {datum.rank}x{datum.rank}")
+    _require_weyl_shape(datum, matrix)
     w = WeylElement(matrix=matrix, word=None)  # integer and unimodular
+    require_in_weyl_group(datum, w)
+    return w
+
+
+def require_in_weyl_group(datum: RootDatum, w: WeylElement) -> None:
+    """Raise ValueError unless w is rank x rank and lies in the datum's
+    Weyl group, not only in the automorphism group of the datum.  The
+    verdict is memoized per datum by matrix."""
+    _require_weyl_shape(datum, w.matrix)
     # the root permutation raises unless the coroots are permuted with the
     # pairing preserved
     if not _descends_to_identity(datum, w.matrix):
         raise ValueError(
             f"matrix is not a Weyl group element of {datum.label}: it "
             f"preserves the root datum but lies outside W")
-    return w
 
 
+def _require_weyl_shape(datum: RootDatum, matrix: Mat) -> None:
+    if len(matrix) != datum.rank or any(len(r) != datum.rank for r in matrix):
+        raise ValueError(f"Weyl matrix must be {datum.rank}x{datum.rank}")
+
+
+@per_datum
 def _descends_to_identity(datum: RootDatum, matrix: Mat) -> bool:
     """Simple-reflection descent: while w sends a simple root alpha to a
     negative root, replace w by w s_alpha.  Each step removes exactly one
     positive root from those w sends negative, so the loop ends with w
-    fixing the positive system; w is in W iff that end point is 1."""
+    fixing the positive system; w is in W iff that end point is 1.
+    Raises ValueError, and caches nothing, when the matrix does not
+    preserve the root datum."""
     positive = set(positive_root_indices(datum))
     gens = simple_coreflections(datum)
     gen_perms = [_root_permutation_cached(datum, g) for g in gens]

@@ -10,10 +10,11 @@ w . vbar = q . vbar (mod N), entrywise in cocharacter coordinates.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .dynamic import ParabolicType, parabolic_of
+from .dynamic import ParabolicType
 from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
@@ -30,15 +31,18 @@ from .lattice import (
 from .root_datum import (
     RootDatum,
     WeylElement,
+    _root_permutation_cached,
+    _weyl_limit_error,
     central_cochar_space,
     per_datum,
+    require_in_weyl_group,
     root_functionals,
     root_pairings,
     root_permutation,
+    simple_coreflections,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
-    weyl_group_elements,
 )
 
 ORACLE_RANK_CAP = 4
@@ -101,8 +105,11 @@ class TameInertialPair:
 
 def make_pair(datum: RootDatum, q: int, f: int, vbar, w) -> TameInertialPair:
     """Build a pair over a datum; w may be a WeylElement, a word, or a
-    word string like "s0 s1"."""
-    if not isinstance(w, WeylElement):
+    word string like "s0 s1".  A WeylElement must be rank x rank and lie in
+    the datum's Weyl group (ValueError otherwise)."""
+    if isinstance(w, WeylElement):
+        require_in_weyl_group(datum, w)
+    else:
         w = weyl_from_word(datum, w)
     if len(vbar) != datum.rank:
         raise ValueError(
@@ -201,6 +208,12 @@ def inertia_centralizer_roots(datum: RootDatum,
     """Roots whose pairing with vbar vanishes mod N: the root system of the
     connected centralizer of the inertia image.  Lexicographically sorted."""
     _require_valid(datum, p)
+    return _killed_roots(datum, p)
+
+
+def _killed_roots(datum: RootDatum, p: TameInertialPair) -> tuple[Vec, ...]:
+    # inertia_centralizer_roots without the validation, for callers that
+    # have validated the pair already
     n = p.modulus
     return tuple(alpha for alpha, v in zip(datum.roots,
                                            root_pairings(datum, p.vbar))
@@ -237,6 +250,13 @@ def is_G_irreducible(datum: RootDatum, p: TameInertialPair) -> IrreducibilityRes
     # the central space is the common kernel of the root functionals, so a
     # fixed vector is noncentral exactly when some root pairs nonzero with it
     noncentral = [v for v in fixed if any(root_pairings(datum, v))]
+    if not noncentral:
+        # every element of W fixes the central cocharacters, so a fixed
+        # space of another size with no noncentral vector means w is not in W
+        raise InvalidPairError(
+            f"Frobenius element {p.w.matrix} lies outside the Weyl group of "
+            f"{datum.label}: its fixed cocharacters are all central but "
+            f"their rank is {len(fixed)}, not {len(central)}")
     return IrreducibilityResult(irreducible=False, fixed_cochar=max(noncentral))
 
 
@@ -246,23 +266,26 @@ def is_G_irreducible(datum: RootDatum, p: TameInertialPair) -> IrreducibilityRes
 def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
                                  limit: int | None = None) -> list[ParabolicType]:
     """Every proper parabolic root subset containing the torus that the pair
-    lands in, enumerated directly: all Weyl translates of the standard
-    parabolics, kept when w stabilizes them.
+    lands in, enumerated directly: every Weyl translate of every standard
+    parabolic, kept when w stabilizes it.
 
     The translates depend only on the datum, so they are built once per
     datum, on the first oracle call, into a table of the distinct proper
-    parabolics containing the torus.  Each keeps as defining cocharacter a
-    translate u.mu of a standard cocharacter mu; every translate giving the
-    same parabolic is the same cocharacter, because the parabolic's
-    stabilizer in W fixes mu.  A call for a new w then only tests which
-    table entries w's root permutation maps onto themselves.
+    parabolics containing the torus: the W-orbit of each standard
+    cocharacter, closed under the simple reflections (_torus_parabolics).
+    A call for a new w then only tests which table entries w's root
+    permutation maps onto themselves.  The fixed-space criterion of
+    is_G_irreducible plays no part.
 
     Only meaningful when the inertia centralizer roots are empty (then any
-    parabolic containing the image contains the torus).  Guarded by rank and
-    Weyl group size; passing an explicit limit replaces the default guard.
+    parabolic containing the image contains the torus).  Guarded by rank
+    and by |W|, which the table learns from the orbit of the regular
+    standard cocharacter (|W| points); passing an explicit limit on |W|
+    replaces the default guard (rank <= ORACLE_RANK_CAP and
+    |W| <= ORACLE_WEYL_CAP).
     """
     _require_valid(datum, p)
-    if inertia_centralizer_roots(datum, p):
+    if _killed_roots(datum, p):
         raise ValueError(
             "oracle requires empty inertia centralizer roots; some root "
             "pairing with vbar vanishes mod N")
@@ -280,6 +303,7 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
 def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     """One integral defining cocharacter per proper standard parabolic:
     pairing zero on a proper subset of the simple roots, positive outside.
+    The last one keeps every simple root, so it is regular.
 
     mu solves rows . mu = keep (rows: the simple-root functionals) with
     mu zero off the pivot columns of the rows' echelon form, where the rank
@@ -322,31 +346,76 @@ _ParabolicRecord = tuple[Vec, frozenset[int], frozenset[int], frozenset[int]]
 @per_datum
 def _torus_parabolics(datum: RootDatum,
                       limit: int) -> tuple[_ParabolicRecord, ...]:
-    """Every proper parabolic containing the torus, once each, in order of
-    first appearance among the translates u.mu."""
-    seen = set()
-    found = []
-    for mu in _standard_parabolic_cochars(datum):
-        for u in weyl_group_elements(datum, limit):
-            candidate = parabolic_of(datum, u.apply(mu))
-            if candidate.nonneg_roots not in seen:
-                seen.add(candidate.nonneg_roots)
-                found.append((candidate.defining_cochar,
-                              candidate.nonneg_roots, candidate.levi_roots,
-                              candidate.unipotent_roots))
-    return tuple(found)
+    """Every proper parabolic containing the torus, once each, sorted by
+    the sorted tuple of its nonnegative root indices.
+
+    Each standard cocharacter mu pairs >= 0 with the simple roots, so it is
+    the dominant point of its W-orbit, and every orbit point is reached
+    from it by steps s_i.lam = lam - c.alpha_i^vee with
+    c = <alpha_i, lam> > 0.  Since s_i is an involution,
+    <alpha_j, s_i.lam> = <s_i(alpha_j), lam>: the pairings of the new point
+    are lam's permuted by s_i's root permutation, with no pairing computed.
+    The stabilizer of a standard parabolic in W fixes its mu, so the orbit
+    points and the parabolics of that type correspond one to one.
+
+    The orbit of the regular cocharacter has |W| points; it is closed first,
+    and raises the GuardError of weyl_group_elements as soon as it passes
+    the limit.  A call that raises stores nothing."""
+    steps = [(s, datum.coroots[s],
+              operator.itemgetter(*_root_permutation_cached(datum, g)))
+             for s, g in zip(datum.simple_roots, simple_coreflections(datum))]
+    cochars = _standard_parabolic_cochars(datum)
+    points = []
+    for mu in cochars[-1:] + cochars[:-1]:
+        orbit = {mu: root_pairings(datum, mu)}
+        stack = [mu]
+        while stack:
+            lam = stack.pop()
+            pairings = orbit[lam]
+            for s, coroot, permute in steps:
+                c = pairings[s]
+                if c > 0:
+                    image = tuple([x - c * y for x, y in zip(lam, coroot)])
+                    if image not in orbit:
+                        orbit[image] = permute(pairings)
+                        stack.append(image)
+            if len(orbit) > limit:
+                raise _weyl_limit_error(datum, limit)
+        points.extend(orbit.items())
+    records = []
+    for lam, pairings in points:
+        levi = frozenset([i for i, v in enumerate(pairings) if v == 0])
+        unipotent = frozenset([i for i, v in enumerate(pairings) if v > 0])
+        records.append((lam, levi | unipotent, levi, unipotent))
+    records.sort(key=lambda record: tuple(sorted(record[1])))
+    return tuple(records)
+
+
+@per_datum
+def _parabolic_masks(datum: RootDatum,
+                     limit: int) -> tuple[tuple[bool, ...], ...]:
+    """The nonnegative set of each _torus_parabolics record as a 0/1
+    indicator tuple over the roots."""
+    roots = range(len(datum.roots))
+    return tuple(tuple(map(record[1].__contains__, roots))
+                 for record in _torus_parabolics(datum, limit))
 
 
 @per_datum
 def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
                               limit: int) -> tuple[_ParabolicRecord, ...]:
     # w stabilizes a parabolic when its root permutation maps the
-    # nonnegative roots onto themselves (normalizer_element_in_parabolic)
+    # nonnegative roots onto themselves (normalizer_element_in_parabolic);
+    # the permutation is a bijection, so exactly when the permuted
+    # indicator tuple is the indicator tuple
     perm = root_permutation(datum, WeylElement(matrix=w_matrix))
-    found = [record for record in _torus_parabolics(datum, limit)
-             if {perm[i] for i in record[1]} == record[1]]
-    found.sort(key=lambda record: tuple(sorted(record[1])))
-    return tuple(found)
+    table = _torus_parabolics(datum, limit)
+    if not table:
+        return table  # no roots, so no proper parabolic
+    image = operator.itemgetter(*perm)
+    return tuple(record for record, mask
+                 in zip(table, _parabolic_masks(datum, limit))
+                 if image(mask) == mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,41 @@ brute-force parabolic oracle."""
 from __future__ import annotations
 
 import itertools
-from math import lcm
+import re
+import sys
+from math import gcd, lcm
 
 import pytest
 from fraction_reference import REFERENCE_PRESETS, coords_in_base, sheared_gl3
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tamelift import dynamic, root_datum, tame_reps
 from tamelift.dynamic import (
     ParabolicType,
     normalizer_element_in_parabolic,
     parabolic_of,
 )
 from tamelift.errors import GuardError, InvalidPairError
-from tamelift.lattice import mat_mul, mat_pow, matrix_order, vec_mod, vec_scale
+from tamelift.lattice import (
+    identity_matrix,
+    mat_mul,
+    mat_pow,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    matrix_order,
+    smith_normal_form,
+    vec_mod,
+    vec_scale,
+)
 from tamelift.root_datum import (
+    WeylElement,
     build_root_datum,
     central_cochar_space,
     datum_from_dict,
     datum_to_dict,
+    make_root_datum,
     root_functionals,
     root_pairings,
     weyl_fixed_space,
@@ -33,6 +51,7 @@ from tamelift.tame_reps import (
     TameInertialPair,
     _stable_proper_parabolics,
     _standard_parabolic_cochars,
+    _torus_parabolics,
     brute_force_parabolic_oracle,
     check_weyl_order,
     inertia_centralizer_roots,
@@ -234,19 +253,24 @@ def test_oracle_guard_and_override():
     assert not is_G_irreducible(gl5, p)
 
 
-def reference_stable_parabolics(datum, w, limit):
-    """The oracle's former per-w scan: every Weyl translate of every
-    standard parabolic, deduplicated as met, kept when w stabilizes it."""
+def reference_torus_parabolics(datum, limit):
+    """The oracle's former scan: every Weyl translate u.mu of every standard
+    cocharacter, as a parabolic, deduplicated as met."""
     seen = set()
     found = []
     for mu in _standard_parabolic_cochars(datum):
         for u in weyl_group_elements(datum, limit):
             candidate = parabolic_of(datum, u.apply(mu))
-            if candidate.nonneg_roots in seen:
-                continue
-            seen.add(candidate.nonneg_roots)
-            if normalizer_element_in_parabolic(datum, w, candidate):
+            if candidate.nonneg_roots not in seen:
+                seen.add(candidate.nonneg_roots)
                 found.append(candidate)
+    return found
+
+
+def reference_stable_parabolics(candidates, datum, w):
+    """The scanned parabolics that w stabilizes, in the oracle's order."""
+    found = [candidate for candidate in candidates
+             if normalizer_element_in_parabolic(datum, w, candidate)]
     found.sort(key=lambda c: tuple(sorted(c.nonneg_roots)))
     return found
 
@@ -257,14 +281,145 @@ def parabolic_record(par):
 
 
 def test_parabolic_table_matches_per_w_scan():
-    for name in ["GL3", "SL3", "GL4", "Sp4", "SO5", "G2"]:
-        datum = build_root_datum(name)
-        for w in weyl_group_elements(datum):
-            table = _stable_proper_parabolics(datum, w.matrix, ORACLE_WEYL_CAP)
-            reference = reference_stable_parabolics(datum, w, ORACLE_WEYL_CAP)
+    cases = [(name, ORACLE_WEYL_CAP) for name in
+             ["GL3", "SL3", "GL4", "SL4", "Sp4", "Sp6", "SO5", "SO7", "G2",
+              "sheared-GL3"]]
+    for name, limit in cases + [("GL5", 120)]:
+        datum = (sheared_gl3() if name == "sheared-GL3"
+                 else build_root_datum(name))
+        candidates = reference_torus_parabolics(datum, limit)
+        for w in weyl_group_elements(datum, limit):
+            table = _stable_proper_parabolics(datum, w.matrix, limit)
+            reference = reference_stable_parabolics(candidates, datum, w)
             assert [parabolic_record(ParabolicType(datum, *record))
                     for record in table] == \
                 [parabolic_record(par) for par in reference], (name, w.word)
+
+
+def test_parabolic_table_guard_stores_nothing():
+    gl5 = build_root_datum("GL5")
+    p = make_pair(gl5, 2, 4, (1, 2, 4, 8, 0), weyl_from_word(gl5, [2, 1, 0]))
+    with pytest.raises(GuardError) as enumerated:
+        weyl_group_elements(build_root_datum("GL5"), 119)
+    with pytest.raises(GuardError,
+                       match=f"^{re.escape(str(enumerated.value))}$"):
+        brute_force_parabolic_oracle(gl5, p, limit=119)
+    assert str(enumerated.value) == \
+        "Weyl group of GL5 exceeds enumeration limit 119"
+    assert not [key for key in gl5._memo
+                if isinstance(key, tuple)
+                and key[0] is _torus_parabolics.__wrapped__]
+    assert len(brute_force_parabolic_oracle(gl5, p, limit=120)) == 2
+
+
+def spy_everywhere(monkeypatch, fn, calls):
+    """Replace fn under every name a tamelift module binds it to, recording
+    each call in calls."""
+    def spy(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tamelift"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+
+
+def test_first_oracle_call_neither_enumerates_w_nor_scans(monkeypatch):
+    sp6 = build_root_datum("Sp6")
+    fresh = make_root_datum(sp6.rank, sp6.roots, sp6.coroots, sp6.pairing,
+                            sp6.simple_roots, label="Sp6")
+    # q = 8, N = 7: no root pairs to 0 mod 7 with (1, 2, 3), and the
+    # identity stabilizes every parabolic
+    p = make_pair(fresh, 8, 1, (1, 2, 3), weyl_identity(fresh))
+    calls = []
+    spy_everywhere(monkeypatch, root_datum._enumerate_weyl_group, calls)
+    spy_everywhere(monkeypatch, dynamic.parabolic_of, calls)
+    found = brute_force_parabolic_oracle(fresh, p)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(found) == 146
+    assert found == reference_stable_parabolics(
+        reference_torus_parabolics(sp6, ORACLE_WEYL_CAP), sp6,
+        weyl_identity(sp6))
+
+
+def test_oracle_validates_the_pair_once(monkeypatch):
+    calls = []
+    spy_everywhere(monkeypatch, tame_reps.validate_pair, calls)
+    brute_force_parabolic_oracle(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
+    assert calls == ["validate_pair"]
+    with pytest.raises(InvalidPairError,
+                       match=re.escape("pair fails compatibility at "
+                                       "coordinates [0, 1] (mod 8)")):
+        brute_force_parabolic_oracle(GL2, make_pair(GL2, 3, 2, (1, 5), SWAP))
+
+
+MINUS_I = ((-1, 0), (0, -1))  # a GL2 automorphism outside W = {1, swap}
+
+
+def test_make_pair_rejects_weyl_elements_outside_w():
+    with pytest.raises(ValueError, match="lies outside W"):
+        make_pair(GL2, 3, 2, (2, 4), WeylElement(matrix=MINUS_I))
+    with pytest.raises(ValueError, match="must be 2x2"):
+        make_pair(GL2, 3, 2, (2, 4),
+                  WeylElement(matrix=identity_matrix(3)))
+    with pytest.raises(ValueError, match="outside the coroot set"):
+        make_pair(GL2, 3, 2, (2, 4), WeylElement(matrix=((1, 1), (0, 1))))
+    assert make_pair(GL2, 3, 2, (1, 3), WeylElement(matrix=SWAP.matrix)).w \
+        == SWAP
+
+
+def test_irreducibility_names_a_frobenius_outside_w():
+    # built directly, the pair skips make_pair's check; it is compatible
+    # and kills no root, and -I fixes no cocharacter at all
+    p = TameInertialPair(q=3, f=2, vbar=(2, 4), w=WeylElement(matrix=MINUS_I))
+    assert validate_pair(GL2, p)
+    assert inertia_centralizer_roots(GL2, p) == ()
+    with pytest.raises(InvalidPairError,
+                       match=re.escape("((-1, 0), (0, -1)) lies outside the "
+                                       "Weyl group of GL2")):
+        is_G_irreducible(GL2, p)
+
+
+ORACLE_PROPERTY_DATA = {name: build_root_datum(name) for name in
+                        ("GL3", "GL4", "Sp4", "Sp6", "SO7", "G2")}
+ORACLE_PROPERTY_WEYL = {name: weyl_group_elements(datum)
+                        for name, datum in ORACLE_PROPERTY_DATA.items()}
+
+
+@st.composite
+def kernel_pairs(draw):
+    """A pair whose vbar lies in the kernel of (q - w) mod N: with
+    D = U (q - w) V the Smith form, vbar = V y for y with d_i y_i = 0 mod N,
+    i.e. each y_i a multiple of N / gcd(d_i, N).  Each y_i is a nonzero
+    multiple where there is one: zeros make a killed root, which leaves
+    the oracle out, likelier."""
+    name = draw(st.sampled_from(sorted(ORACLE_PROPERTY_DATA)))
+    datum = ORACLE_PROPERTY_DATA[name]
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    f = draw(st.sampled_from((1, 2, 3)))
+    w = draw(st.sampled_from(ORACLE_PROPERTY_WEYL[name]))
+    n = q ** f - 1
+    d, _, v = smith_normal_form(
+        mat_sub(mat_scale(q, identity_matrix(datum.rank)), w.matrix))
+    y = []
+    for i in range(datum.rank):
+        g = gcd(d[i][i], n)
+        y.append(draw(st.integers(min(1, g - 1), g - 1)) * (n // g))
+    return datum, make_pair(datum, q, f, vec_mod(mat_vec(v, y), n), w)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(kernel_pairs())
+def test_oracle_matches_criterion_property(case):
+    datum, p = case
+    assert validate_pair(datum, p)
+    verdict = is_G_irreducible(datum, p)
+    if inertia_centralizer_roots(datum, p):
+        assert not verdict
+        return
+    assert (brute_force_parabolic_oracle(datum, p) == []) == bool(verdict)
 
 
 @pytest.mark.parametrize("name", REFERENCE_PRESETS + ("sheared-GL3",))
