@@ -33,9 +33,18 @@ from .lattice import (
     smith_normal_form,
     solve_mod_smith,
     vec_add,
+    vec_scale,
     zero_vec,
 )
-from .root_datum import RootDatum, WeylElement, is_regular_cochar, per_datum
+from .root_datum import (
+    RootDatum,
+    WeylElement,
+    canonical_regular_cochar,
+    is_regular_cochar,
+    per_datum,
+    require_in_weyl_group,
+    root_pairings,
+)
 from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 
 # bounds on N^ceil(r/2): about the exhaustive count's steps, and the most
@@ -162,13 +171,19 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
 
 @dataclass(frozen=True)
 class _LiftPlan:
-    """What every lift and exactness check of one (datum, w, q, f) shares."""
+    """What every lift, regularization and exactness check of one
+    (datum, w, q, f) shares.  Slot j of the lift from a slot-0 seed y is
+    M_j . y, with M_j = w^((f-1-j) mod f); the averaged regular seed is
+    the lift from s = canonical_regular_cochar, and its slots are Weyl
+    translates of s, so regular."""
 
     modulus: int
     xi_bar: Mat  # averaged_scale_matrix
     xi_smith: tuple[Mat, Mat, Mat]  # its Smith form
-    slot_matrices: tuple[Mat, ...]  # w^((f-1-j) mod f)
+    slot_matrices: tuple[Mat, ...]  # M_j
     ker_count: int  # kernel size of q - w mod N, by its Smith form
+    seed_slots: tuple[Vec, ...]  # M_j . s
+    seed_steps: Vec  # N . <alpha, M_j . s>, slot by slot; never 0
 
     def slots(self, x: Vec) -> tuple[Vec, ...]:
         """xi of the tuple with x in slot 0 and zeros elsewhere: its slot j
@@ -179,7 +194,8 @@ class _LiftPlan:
 @per_datum
 def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
     """Built on the first lift of a configuration; raises, and so caches
-    nothing, unless w^f is the identity."""
+    nothing, unless w lies in W and w^f is the identity."""
+    require_in_weyl_group(datum, WeylElement(matrix=w_matrix))
     ident = identity_matrix(datum.rank)
     powers = [ident]
     for _ in range(f):
@@ -190,13 +206,19 @@ def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
             f"identity (f={f})")
     xi_bar = averaged_scale_matrix(w_matrix, q, f)
     n = q ** f - 1
+    slot_matrices = tuple(powers[f - 1 - j] for j in range(f))
+    seed = canonical_regular_cochar(datum)
+    seed_slots = tuple(mat_vec(m, seed) for m in slot_matrices)
     return _LiftPlan(
         modulus=n,
         xi_bar=xi_bar,
         xi_smith=smith_normal_form(xi_bar),
-        slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
+        slot_matrices=slot_matrices,
         ker_count=_count_kernel_by_snf(
             smith_normal_form(_q_minus_w(w_matrix, q)), n),
+        seed_slots=seed_slots,
+        seed_steps=vec_scale(n, tuple(chain.from_iterable(
+            root_pairings(datum, s) for s in seed_slots))),
     )
 
 
@@ -216,6 +238,22 @@ def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
     return plan, x
 
 
+def _checked_lift(datum: RootDatum, p: TameInertialPair,
+                  slots: tuple[Vec, ...], what: str) -> LiftResult:
+    """The tuple with the given slots, re-verified: raises
+    InternalConsistencyError unless it satisfies the kernel condition and
+    reduces to vbar.  `regular` records whether every slot is regular."""
+    v = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
+    if not (kernel_membership(p.w, v) and reduction(v) == p.vbar):
+        raise InternalConsistencyError(f"{what} failed re-verification")
+    return LiftResult(
+        tuple=v,
+        kernel_checked=True,
+        reduction_checked=True,
+        regular=all(is_regular_cochar(datum, s) for s in v.slots),
+    )
+
+
 def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
     """Construct a Frobenius-equivariant tuple reducing to vbar.
 
@@ -224,18 +262,7 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
     plan.  Soundness of the output is re-verified before returning.
     """
     plan, x = _solve_seed(datum, p)
-    v = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=plan.slots(x))
-    kernel_ok = kernel_membership(p.w, v)
-    reduction_ok = reduction(v) == p.vbar
-    if not (kernel_ok and reduction_ok):
-        raise InternalConsistencyError(
-            "constructed lift failed re-verification")
-    return LiftResult(
-        tuple=v,
-        kernel_checked=kernel_ok,
-        reduction_checked=reduction_ok,
-        regular=all(is_regular_cochar(datum, s) for s in v.slots),
-    )
+    return _checked_lift(datum, p, plan.slots(x), "constructed lift")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +284,8 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  q and f
     are checked as a pair's are (ValueError).  The averaged matrix, its
     Smith form and the Smith-form kernel count of q - w come from the
-    configuration's lift plan, which raises LiftHypothesisError unless w^f
-    is the identity.
+    configuration's lift plan, which raises ValueError unless w lies in W
+    and LiftHypothesisError unless w^f is the identity.
     """
     if method not in ("auto", "exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")

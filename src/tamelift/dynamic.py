@@ -54,16 +54,16 @@ class ParabolicType:
 def parabolic_of(datum: RootDatum, cochar: Vec) -> ParabolicType:
     """Split the roots by sign of their pairing with the cocharacter."""
     cochar = tuple(cochar)
-    values = root_pairings(datum, cochar)
-    levi = frozenset(i for i, v in enumerate(values) if v == 0)
-    unipotent = frozenset(i for i, v in enumerate(values) if v > 0)
-    return ParabolicType(
-        datum=datum,
-        defining_cochar=cochar,
-        nonneg_roots=levi | unipotent,
-        levi_roots=levi,
-        unipotent_roots=unipotent,
-    )
+    return ParabolicType(datum, cochar,
+                         *split_by_sign(root_pairings(datum, cochar)))
+
+
+def split_by_sign(pairings: Vec) -> tuple[frozenset[int], ...]:
+    """The (nonnegative, zero, positive) index sets of a pairing vector:
+    a parabolic's root set, its Levi and its unipotent radical."""
+    levi = frozenset([i for i, v in enumerate(pairings) if v == 0])
+    unipotent = frozenset([i for i, v in enumerate(pairings) if v > 0])
+    return levi | unipotent, levi, unipotent
 
 
 def is_proper(p: ParabolicType) -> bool:

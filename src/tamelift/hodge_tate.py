@@ -19,27 +19,16 @@ from operator import mod, not_
 from .crystalline_lift import (
     CrysCharTuple,
     LiftResult,
-    _lift_plan,
+    _checked_lift,
     _solve_seed,
-    kernel_membership,
-    reduction,
 )
 from .errors import InternalConsistencyError, MultisetDivisionError
-from .lattice import (
-    Mat,
-    Vec,
-    mat_mul,
-    mat_vec,
-    vec_add,
-    vec_neg,
-    vec_scale,
-    zero_vec,
-)
+from .lattice import Vec, vec_add, vec_neg, vec_scale, zero_vec
 from .root_datum import (
     RootDatum,
+    canonical_regular_cochar,  # re-exported
     is_regular_cochar,
-    per_datum,
-    root_functionals,
+    root_pairings,
 )
 from .tame_reps import TameInertialPair
 
@@ -76,24 +65,6 @@ def ht_to_dict(t: HTType) -> dict:
 # ---------------------------------------------------------------------------
 # regularization
 
-def canonical_regular_cochar(datum: RootDatum) -> Vec:
-    """Deterministic regular cocharacter: the staircase (r-1+k, ..., 1+k, k)
-    for the smallest workable shift k, with a geometric fallback for data
-    the staircase cannot handle."""
-    r = datum.rank
-    for k in range(len(datum.roots) + 2):
-        candidate = tuple(r - 1 - i + k for i in range(r))
-        if is_regular_cochar(datum, candidate):
-            return candidate
-    bound = len(datum.roots) * max(r - 1, 1) + 2
-    for t in range(2, bound + 2):
-        candidate = tuple(t ** i for i in range(r))
-        if is_regular_cochar(datum, candidate):
-            return candidate
-    raise InternalConsistencyError(
-        f"no regular cocharacter found for {datum.label}")
-
-
 def regular_seed(datum: RootDatum, q: int, f: int, colabel: int,
                  cochar: Vec) -> CrysCharTuple:
     """Tuple concentrated at one colabel; the seed must be regular."""
@@ -114,78 +85,39 @@ class RegularLiftResult(LiftResult):
     seed_multiplier: int
 
 
-@dataclass(frozen=True)
-class _RegularPlan:
-    """What every regularization of one (datum, w, q, f) shares: the
-    pairing tables G_j = F . M_j, with F the root functionals (one row per
-    root, `root_functionals`) and M_j the lift plan's slot matrices.  Slot
-    j of a lift from the slot-0 seed y is M_j . y, and row alpha of G_j
-    times y is its pairing with root alpha, so one product per table row
-    gives every (root, slot) pairing of the lift.  The rows are stacked in
-    slot order, and the seed steps follow the same order, computed from
-    the same rows for the regular seed s = `canonical_regular_cochar`."""
-
-    seed: Vec  # s
-    pairing_rows: Mat  # rows of G_0, then of G_1, ...
-    seed_steps: Vec  # N . (row . s) = N . <alpha, M_j . s>; never 0
-
-
-@per_datum
-def _regular_plan(datum: RootDatum, w_matrix: Mat, q: int,
-                  f: int) -> _RegularPlan:
-    lift = _lift_plan(datum, w_matrix, q, f)
-    seed = canonical_regular_cochar(datum)
-    functionals = root_functionals(datum)
-    rows = tuple(row for m in lift.slot_matrices
-                 for row in mat_mul(functionals, m))
-    return _RegularPlan(
-        seed=seed,
-        pairing_rows=rows,
-        seed_steps=vec_scale(lift.modulus, mat_vec(rows, seed)),
-    )
-
-
 def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
     """Hodge-Tate regular lift with the same reduction.
 
-    Adds C . N times the averaged seed to the base lift, for the smallest
-    C >= 0 making every colabel regular: both are lifts from a slot-0 seed
-    (x for the base, s for the averaged seed), so the sum is the lift from
-    x + C . N . s.  The averaged seed's slots are Weyl translates of the
-    regular s, hence themselves regular: root alpha pairs with slot j of
-    the sum as P + C . N . A, where P = G_j[alpha] . x and
-    N . A = G_j[alpha] . s . N, the plan's step for that table row, is
-    never 0.  So each table row forbids at most one C, namely
-    -P / (N . A) when that is an integer, and C is the least nonnegative
-    value none forbids: the products of the rows with x, one pass over the
-    table, give it in closed form rather than by trying one C after
-    another.  The returned tuple's kernel condition, reduction and
-    regularity are re-verified.
+    Adds C . N times the averaged seed to the base lift, slot by slot, for
+    the smallest C >= 0 making every colabel regular.  The averaged seed's
+    slots are Weyl translates of the regular s, hence themselves regular:
+    root alpha pairs with slot j of the sum as P + C . N . A, where P is
+    its pairing with base slot j and N . A, the plan's seed step for
+    (alpha, j), is never 0.  So each (root, slot) forbids at most one C,
+    namely -P / (N . A) when that is an integer, and C is the least
+    nonnegative value none forbids: the base slots' root pairings give it
+    in closed form rather than by trying one C after another.  The
+    returned tuple's kernel condition, reduction and regularity are
+    re-verified.
     """
-    lift, x = _solve_seed(datum, p)
-    plan = _regular_plan(datum, p.w.matrix, p.q, p.f)
+    plan, x = _solve_seed(datum, p)
+    base = plan.slots(x)
     steps = plan.seed_steps
-    pairings = mat_vec(plan.pairing_rows, x)
+    pairings = [a for slot in base for a in root_pairings(datum, slot)]
     divisible = map(not_, map(mod, pairings, steps))
     forbidden = {-a // b for a, b in compress(zip(pairings, steps), divisible)}
     c = 0
     while c in forbidden:
         c += 1
-    slots = lift.slots(vec_add(x, vec_scale(c * lift.modulus, plan.seed)))
-    candidate = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
-    kernel_ok = kernel_membership(p.w, candidate)
-    reduction_ok = reduction(candidate) == p.vbar
-    if not (kernel_ok and reduction_ok
-            and is_ht_regular(datum, ht_type(candidate))):
+    shift = c * plan.modulus
+    lift = _checked_lift(
+        datum, p, tuple(vec_add(b, vec_scale(shift, s))
+                        for b, s in zip(base, plan.seed_slots)),
+        "regularized lift")
+    if not lift.regular:
         raise InternalConsistencyError(
             "regularized lift failed re-verification")
-    return RegularLiftResult(
-        tuple=candidate,
-        kernel_checked=kernel_ok,
-        reduction_checked=reduction_ok,
-        regular=True,
-        seed_multiplier=c,
-    )
+    return RegularLiftResult(**vars(lift), seed_multiplier=c)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import DatumValidationError, GuardError
+from .errors import DatumValidationError, GuardError, InternalConsistencyError
 from .lattice import (
     Mat,
     Vec,
@@ -153,6 +153,26 @@ def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
 def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
     """True when no root pairs to zero with the cocharacter."""
     return 0 not in root_pairings(datum, cochar)
+
+
+@per_datum
+def canonical_regular_cochar(datum: RootDatum) -> Vec:
+    """Deterministic regular cocharacter: the staircase (r-1+k, ..., 1+k, k)
+    for the smallest workable shift k, with a geometric fallback for data
+    the staircase cannot handle.  It cannot fail: every root functional is
+    nonzero, so it vanishes at fewer than r of the fallback's t values."""
+    r = datum.rank
+    for k in range(len(datum.roots) + 2):
+        candidate = tuple(r - 1 - i + k for i in range(r))
+        if is_regular_cochar(datum, candidate):
+            return candidate
+    bound = len(datum.roots) * max(r - 1, 1) + 2
+    for t in range(2, bound + 2):
+        candidate = tuple(t ** i for i in range(r))
+        if is_regular_cochar(datum, candidate):
+            return candidate
+    raise InternalConsistencyError(
+        f"no regular cocharacter found for {datum.label}")
 
 
 @per_datum

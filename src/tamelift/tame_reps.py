@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .dynamic import ParabolicType
+from .dynamic import ParabolicType, split_by_sign
 from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
@@ -344,10 +344,11 @@ _ParabolicRecord = tuple[Vec, frozenset[int], frozenset[int], frozenset[int]]
 
 
 @per_datum
-def _torus_parabolics(datum: RootDatum,
-                      limit: int) -> tuple[_ParabolicRecord, ...]:
+def _torus_parabolics(datum: RootDatum, limit: int
+                      ) -> tuple[tuple[_ParabolicRecord, tuple[bool, ...]], ...]:
     """Every proper parabolic containing the torus, once each, sorted by
-    the sorted tuple of its nonnegative root indices.
+    the sorted tuple of its nonnegative root indices, and with its
+    nonnegative set as a 0/1 indicator tuple over the roots.
 
     Each standard cocharacter mu pairs >= 0 with the simple roots, so it is
     the dominant point of its W-orbit, and every orbit point is reached
@@ -382,23 +383,10 @@ def _torus_parabolics(datum: RootDatum,
             if len(orbit) > limit:
                 raise _weyl_limit_error(datum, limit)
         points.extend(orbit.items())
-    records = []
-    for lam, pairings in points:
-        levi = frozenset([i for i, v in enumerate(pairings) if v == 0])
-        unipotent = frozenset([i for i, v in enumerate(pairings) if v > 0])
-        records.append((lam, levi | unipotent, levi, unipotent))
-    records.sort(key=lambda record: tuple(sorted(record[1])))
-    return tuple(records)
-
-
-@per_datum
-def _parabolic_masks(datum: RootDatum,
-                     limit: int) -> tuple[tuple[bool, ...], ...]:
-    """The nonnegative set of each _torus_parabolics record as a 0/1
-    indicator tuple over the roots."""
-    roots = range(len(datum.roots))
-    return tuple(tuple(map(record[1].__contains__, roots))
-                 for record in _torus_parabolics(datum, limit))
+    table = [((lam, *split_by_sign(pairings)),
+              tuple([v >= 0 for v in pairings])) for lam, pairings in points]
+    table.sort(key=lambda entry: tuple(sorted(entry[0][1])))
+    return tuple(table)
 
 
 @per_datum
@@ -413,9 +401,7 @@ def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
     if not table:
         return table  # no roots, so no proper parabolic
     image = operator.itemgetter(*perm)
-    return tuple(record for record, mask
-                 in zip(table, _parabolic_masks(datum, limit))
-                 if image(mask) == mask)
+    return tuple(record for record, mask in table if image(mask) == mask)
 
 
 # ---------------------------------------------------------------------------

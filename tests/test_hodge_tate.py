@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamelift.crystalline_lift as crystalline_lift
-import tamelift.hodge_tate as hodge_tate
+import tamelift.root_datum as root_datum
 from tamelift.acceptance import (
     LIFT_DEGREES,
     LIFT_PRESETS,
@@ -22,6 +22,7 @@ from tamelift.crystalline_lift import (
     lift_inertia,
     make_crys_tuple,
     reduction,
+    simple_trick_check,
     xi_operator,
 )
 from tamelift.errors import (
@@ -58,12 +59,13 @@ from tamelift.lattice import (
     zero_vec,
 )
 from tamelift.root_datum import (
+    WeylElement,
     build_root_datum,
     weyl_from_word,
     weyl_group_elements,
     weyl_identity,
 )
-from tamelift.tame_reps import make_pair
+from tamelift.tame_reps import TameInertialPair, make_pair
 
 GL2 = build_root_datum("GL2")
 GL3 = build_root_datum("GL3")
@@ -254,38 +256,64 @@ def test_plan_lifts_match_the_reference_property(case):
         reference_regular_lift(datum, p)
 
 
-def test_lifts_reuse_one_plan_per_configuration(monkeypatch):
-    builds = []
+def _plan_keys(datum):
+    plan = crystalline_lift._lift_plan.__wrapped__
+    return [key[1] for key in datum._memo
+            if isinstance(key, tuple) and key[0] is plan]
 
-    def counting(name, fn):
+
+def test_lifts_reuse_one_plan_per_configuration(monkeypatch):
+    builds, searches = [], []
+
+    def counting(calls, fn):
         def wrapper(*args):
-            builds.append(name)
+            calls.append(args)
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(crystalline_lift, "averaged_scale_matrix", counting(
-        "lift", crystalline_lift.averaged_scale_matrix))
-    monkeypatch.setattr(hodge_tate, "canonical_regular_cochar", counting(
-        "regular", hodge_tate.canonical_regular_cochar))
-    plans = (crystalline_lift._lift_plan.__wrapped__,
-             hodge_tate._regular_plan.__wrapped__)
-
-    def memo_plans(datum):
-        return sorted(plans.index(key[0]) for key in datum._memo
-                      if isinstance(key, tuple) and key[0] in plans)
-
+        builds, crystalline_lift.averaged_scale_matrix))
+    # the seed search is the only caller of is_regular_cochar in root_datum
+    monkeypatch.setattr(root_datum, "is_regular_cochar", counting(
+        searches, root_datum.is_regular_cochar))
     gl3 = build_root_datum("GL3")
     p = make_pair(gl3, 5, 3, (0, 0, 0), weyl_from_word(gl3, [0, 1]))
     regular_lift(gl3, p)
-    assert builds == ["lift", "regular"] and memo_plans(gl3) == [0, 1]
+    lift_inertia(gl3, p)
+    assert simple_trick_check(gl3, 5, 3, p.w)
     again = make_pair(gl3, 5, 3, (31, 31, 31), weyl_from_word(gl3, "s0 s1"))
     lift_inertia(gl3, again)
     regular_lift(gl3, again)
-    assert builds == ["lift", "regular"] and memo_plans(gl3) == [0, 1]
+    assert len(builds) == 1 and _plan_keys(gl3) == [(p.w.matrix, 5, 3)]
+    searched = len(searches)
+    assert searched
+    # a second configuration gets its own plan but not a second seed search
+    other = make_pair(gl3, 3, 2, (0, 0, 0), weyl_from_word(gl3, [0]))
+    assert regular_lift(gl3, other).regular
+    assert len(builds) == 2 and len(_plan_keys(gl3)) == 2
+    assert len(searches) == searched
     # a refused configuration leaves no plan behind
     with pytest.raises(LiftHypothesisError):
         regular_lift(gl3, make_pair(gl3, 5, 2, (0, 0, 0), p.w))
-    assert memo_plans(gl3) == [0, 1]
+    assert len(_plan_keys(gl3)) == 2
+
+
+def test_lifts_refuse_a_frobenius_outside_w():
+    # built directly, the pair skips make_pair's W check, and -I on GL2
+    # passes the lift hypothesis ((-I)^2 = 1); the plan build refuses it
+    gl2 = build_root_datum("GL2")
+    minus_i = WeylElement(matrix=((-1, 0), (0, -1)))
+    p = TameInertialPair(q=3, f=2, vbar=(2, 4), w=minus_i)
+    for attempt in (lambda: lift_inertia(gl2, p),
+                    lambda: regular_lift(gl2, p),
+                    lambda: simple_trick_check(gl2, 3, 2, minus_i)):
+        with pytest.raises(ValueError, match="lies outside W"):
+            attempt()
+    assert _plan_keys(gl2) == []
+    swap = weyl_from_word(gl2, [0])
+    assert lift_inertia(gl2, make_pair(gl2, 3, 2, (1, 3), swap)).tuple.slots \
+        == ((1, 0), (0, 1))
+    assert _plan_keys(gl2) == [(swap.matrix, 3, 2)]
 
 
 def test_averaged_seed_slots_are_weyl_translates():
