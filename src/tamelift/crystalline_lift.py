@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .lattice import (
     Mat,
+    ModSolver,
     Vec,
     identity_matrix,
     is_strict_int,
@@ -31,7 +32,6 @@ from .lattice import (
     mat_sub,
     mat_vec,
     smith_normal_form,
-    solve_mod_smith,
     vec_add,
     vec_scale,
     zero_vec,
@@ -173,17 +173,20 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
 class _LiftPlan:
     """What every lift, regularization and exactness check of one
     (datum, w, q, f) shares.  Slot j of the lift from a slot-0 seed y is
-    M_j . y, with M_j = w^((f-1-j) mod f); the averaged regular seed is
-    the lift from s = canonical_regular_cochar, and its slots are Weyl
-    translates of s, so regular."""
+    M_j . y, with M_j = w^((f-1-j) mod f).  The averaged congruence
+    xi_bar . x = vbar (mod N) is solved with its Smith-form constants,
+    computed once here.  The regular seed s = canonical_regular_cochar
+    needs one slot's steps only: each M_j lies in W and so permutes the
+    roots, and the pairings of every slot are those of slot 0 reordered
+    (see `hodge_tate.regular_lift`)."""
 
     modulus: int
     xi_bar: Mat  # averaged_scale_matrix
-    xi_smith: tuple[Mat, Mat, Mat]  # its Smith form
+    xi_solver: ModSolver  # the constants of its Smith form mod N
     slot_matrices: tuple[Mat, ...]  # M_j
     ker_count: int  # kernel size of q - w mod N, by its Smith form
-    seed_slots: tuple[Vec, ...]  # M_j . s
-    seed_steps: Vec  # N . <alpha, M_j . s>, slot by slot; never 0
+    seed: Vec  # s
+    seed_steps: Vec  # N . <alpha, s>, root by root; never 0
 
     def slots(self, x: Vec) -> tuple[Vec, ...]:
         """xi of the tuple with x in slot 0 and zeros elsewhere: its slot j
@@ -206,19 +209,16 @@ def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
             f"identity (f={f})")
     xi_bar = averaged_scale_matrix(w_matrix, q, f)
     n = q ** f - 1
-    slot_matrices = tuple(powers[f - 1 - j] for j in range(f))
     seed = canonical_regular_cochar(datum)
-    seed_slots = tuple(mat_vec(m, seed) for m in slot_matrices)
     return _LiftPlan(
         modulus=n,
         xi_bar=xi_bar,
-        xi_smith=smith_normal_form(xi_bar),
-        slot_matrices=slot_matrices,
+        xi_solver=ModSolver(smith_normal_form(xi_bar), n),
+        slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
         ker_count=_count_kernel_by_snf(
             smith_normal_form(_q_minus_w(w_matrix, q)), n),
-        seed_slots=seed_slots,
-        seed_steps=vec_scale(n, tuple(chain.from_iterable(
-            root_pairings(datum, s) for s in seed_slots))),
+        seed=seed,
+        seed_steps=vec_scale(n, root_pairings(datum, seed)),
     )
 
 
@@ -227,30 +227,48 @@ def _q_minus_w(w_matrix: Mat, q: int) -> Mat:
 
 
 def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
-    """Validate the pair, then solve the averaged congruence for the slot-0
-    seed x; returns the configuration's plan and x."""
-    _require_valid(datum, p)
-    plan = _lift_plan(datum, p.w.matrix, p.q, p.f)
-    x = solve_mod_smith(plan.xi_smith, p.vbar, plan.modulus)
+    """Solve the averaged congruence xi_bar . x = vbar (mod N) for the
+    slot-0 seed x; returns the configuration's plan and x.
+
+    The pair is validated only when the plan build or the solve fails, and
+    then first, so an invalid pair raises what validating it up front
+    would.  A success needs no validation: the lift from x, re-verified by
+    `_checked_lift`, certifies it.  Its slots satisfy w . slot_j =
+    slot_{j-1}, so their reduction r = sum_j q^j . slot_j has w . r =
+    q . r - N . slot_{f-1}, and r = vbar (mod N) then gives w . vbar =
+    q . vbar (mod N).  Nor can an invalid pair be solved once the plan has
+    checked w^f = 1: (q - w) . xi_bar = q^f - w^f = N, so the image of
+    xi_bar mod N lies in the kernel of q - w."""
+    try:
+        plan = _lift_plan(datum, p.w.matrix, p.q, p.f)
+    except Exception:
+        _require_valid(datum, p)
+        raise
+    x = plan.xi_solver.solve(p.vbar)
     if x is None:
+        _require_valid(datum, p)
         raise InternalConsistencyError(
             "averaged congruence has no solution for a compatible pair")
     return plan, x
 
 
 def _checked_lift(datum: RootDatum, p: TameInertialPair,
-                  slots: tuple[Vec, ...], what: str) -> LiftResult:
+                  slots: tuple[Vec, ...], what: str,
+                  result: type[LiftResult] = LiftResult,
+                  **fields) -> LiftResult:
     """The tuple with the given slots, re-verified: raises
     InternalConsistencyError unless it satisfies the kernel condition and
-    reduces to vbar.  `regular` records whether every slot is regular."""
+    reduces to vbar.  Returns it as `result`, with any further `fields`;
+    `regular` records whether every slot is regular."""
     v = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
     if not (kernel_membership(p.w, v) and reduction(v) == p.vbar):
         raise InternalConsistencyError(f"{what} failed re-verification")
-    return LiftResult(
+    return result(
         tuple=v,
         kernel_checked=True,
         reduction_checked=True,
         regular=all(is_regular_cochar(datum, s) for s in v.slots),
+        **fields,
     )
 
 
@@ -282,10 +300,11 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf" counts
     them through Smith normal form; "auto" picks exhaustive when
     N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  q and f
-    are checked as a pair's are (ValueError).  The averaged matrix, its
-    Smith form and the Smith-form kernel count of q - w come from the
-    configuration's lift plan, which raises ValueError unless w lies in W
-    and LiftHypothesisError unless w^f is the identity.
+    are checked as a pair's are (ValueError).  The averaged matrix, the
+    gcds gcd(d_i, N) of its Smith form (the product is its kernel count)
+    and the Smith-form kernel count of q - w come from the configuration's
+    lift plan, which raises ValueError unless w lies in W and
+    LiftHypothesisError unless w^f is the identity.
     """
     if method not in ("auto", "exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
@@ -307,7 +326,7 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
         xi_ker_count = _count_kernel_by_halves(plan.xi_bar, n)
     else:
         ker_count = plan.ker_count
-        xi_ker_count = _count_kernel_by_snf(plan.xi_smith, n)
+        xi_ker_count = prod(g for g, _, _ in plan.xi_solver.steps)
     image_count, rem = divmod(n ** rank, xi_ker_count)
     if rem:
         raise InternalConsistencyError(

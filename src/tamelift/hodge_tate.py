@@ -89,35 +89,35 @@ def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
     """Hodge-Tate regular lift with the same reduction.
 
     Adds C . N times the averaged seed to the base lift, slot by slot, for
-    the smallest C >= 0 making every colabel regular.  The averaged seed's
-    slots are Weyl translates of the regular s, hence themselves regular:
-    root alpha pairs with slot j of the sum as P + C . N . A, where P is
-    its pairing with base slot j and N . A, the plan's seed step for
-    (alpha, j), is never 0.  So each (root, slot) forbids at most one C,
-    namely -P / (N . A) when that is an integer, and C is the least
-    nonnegative value none forbids: the base slots' root pairings give it
-    in closed form rather than by trying one C after another.  The
-    returned tuple's kernel condition, reduction and regularity are
-    re-verified.
+    the smallest C >= 0 making every colabel regular.  Both are lifts from
+    a slot-0 seed: the base from the solved x, the averaged seed from the
+    regular s, so the sum is the lift from x + C . N . s, whose slot j is
+    M_j . x + C . N . M_j . s.  Root alpha pairs with it as P + C . N . A,
+    where P = <alpha, M_j . x> and A = <alpha, M_j . s> is never 0, so
+    each (root, slot) forbids at most one C, namely -P / (N . A) when that
+    is an integer.  Each M_j lies in W and permutes the roots, so over all
+    roots the pairs (P, A) of slot j are those of slot 0, (<alpha, x>,
+    <alpha, s>), reordered: every slot forbids the same values, and the
+    root pairings of x against the plan's seed steps N . <alpha, s> give
+    the least C none forbids in closed form, before any slot is built and
+    with no C tried.  The returned tuple's kernel condition, reduction and
+    the regularity of every slot are re-verified.
     """
     plan, x = _solve_seed(datum, p)
-    base = plan.slots(x)
     steps = plan.seed_steps
-    pairings = [a for slot in base for a in root_pairings(datum, slot)]
+    pairings = root_pairings(datum, x)
     divisible = map(not_, map(mod, pairings, steps))
     forbidden = {-a // b for a, b in compress(zip(pairings, steps), divisible)}
     c = 0
     while c in forbidden:
         c += 1
-    shift = c * plan.modulus
-    lift = _checked_lift(
-        datum, p, tuple(vec_add(b, vec_scale(shift, s))
-                        for b, s in zip(base, plan.seed_slots)),
-        "regularized lift")
+    shifted = vec_add(x, vec_scale(c * plan.modulus, plan.seed))
+    lift = _checked_lift(datum, p, plan.slots(shifted), "regularized lift",
+                         RegularLiftResult, seed_multiplier=c)
     if not lift.regular:
         raise InternalConsistencyError(
             "regularized lift failed re-verification")
-    return RegularLiftResult(**vars(lift), seed_multiplier=c)
+    return lift
 
 
 # ---------------------------------------------------------------------------

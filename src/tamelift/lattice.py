@@ -292,28 +292,48 @@ def integer_kernel_basis(a: Mat, n: int | None = None) -> Mat:
     return hnf_rows(cols)
 
 
+class ModSolver:
+    """What solving a x = b (mod n) needs of a's Smith form (d, u, v), as
+    `smith_normal_form` returns it, and of n, computed once: u, v, and for
+    each diagonal entry d_i the step (g_i = gcd(d_i, n), n / g_i, inverse
+    of d_i / g_i mod n / g_i, which is 0 when n / g_i = 1)."""
+
+    __slots__ = ("modulus", "u", "v", "steps")
+
+    def __init__(self, snf: tuple[Mat, Mat, Mat], n: int):
+        d, u, v = snf
+        steps = []
+        for i in range(min(len(u), len(v))):
+            g = gcd(d[i][i], n)
+            nn = n // g
+            steps.append((g, nn, pow(d[i][i] // g % nn, -1, nn)))
+        self.modulus, self.u, self.v = n, u, v
+        self.steps = tuple(steps)
+
+    def solve(self, b: Vec) -> Vec | None:
+        """The canonical solution of a x = b (mod n), or None (see
+        `solve_mod_smith`).  y_i = (c_i / g_i) . inv_i mod n / g_i needs no
+        prior reduction of c = u b mod n: g_i divides n."""
+        steps = self.steps
+        c = mat_vec(self.u, b)
+        # rows of d beyond its columns read 0 = c_i (mod n)
+        if any(ci % self.modulus for ci in c[len(steps):]):
+            return None
+        y = [0] * len(self.v)
+        for i, (g, nn, inv) in enumerate(steps):
+            ci = c[i]
+            if ci % g:
+                return None
+            y[i] = ci // g * inv % nn
+        return vec_mod(mat_vec(self.v, y), self.modulus)
+
+
 def solve_mod_smith(snf: tuple[Mat, Mat, Mat], b: Vec, n: int) -> Vec | None:
     """Canonical solution x in [0, n)^cols of a x = b (mod n), or None, for
     a matrix a given by its Smith form (d, u, v), as `smith_normal_form`
     returns it.  Canonical means: Smith-form particular solution with every
     free parameter set to 0, coordinates then reduced into [0, n)."""
-    d, u, v = snf
-    m, cols = len(u), len(v)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(min(m, cols)):
-        di = d[i][i]
-        rhs = c[i] % n
-        g = gcd(di, n)
-        if rhs % g != 0:
-            return None
-        nn = n // g
-        if nn > 1:
-            y[i] = (rhs // g) * pow((di // g) % nn, -1, nn) % nn
-    for i in range(min(m, cols), m):
-        if c[i] % n != 0:
-            return None
-    return vec_mod(mat_vec(v, tuple(y)), n)
+    return ModSolver(snf, n).solve(b)
 
 
 def solve_int_smith(snf: tuple[Mat, Mat, Mat], b: Vec) -> Vec | None:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import tamelift.crystalline_lift as crystalline_lift
 import tamelift.root_datum as root_datum
+import tamelift.tame_reps as tame_reps
 from tamelift.acceptance import (
     LIFT_DEGREES,
     LIFT_PRESETS,
@@ -34,6 +37,7 @@ from tamelift.hodge_tate import (
     EmbeddingProfile,
     HTType,
     IntMultiset,
+    RegularLiftResult,
     canonical_regular_cochar,
     galois_twist,
     gl_colabeled_multisets,
@@ -61,11 +65,12 @@ from tamelift.lattice import (
 from tamelift.root_datum import (
     WeylElement,
     build_root_datum,
+    root_pairings,
     weyl_from_word,
     weyl_group_elements,
     weyl_identity,
 )
-from tamelift.tame_reps import TameInertialPair, make_pair
+from tamelift.tame_reps import TameInertialPair, make_pair, validate_pair
 
 GL2 = build_root_datum("GL2")
 GL3 = build_root_datum("GL3")
@@ -125,6 +130,10 @@ def test_canonical_regular_cochar_presets():
 
 def test_regular_lift_already_regular():
     result = regular_lift(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
+    assert type(result) is RegularLiftResult
+    assert [f.name for f in fields(result)] == [
+        "tuple", "kernel_checked", "reduction_checked", "regular",
+        "seed_multiplier"]
     assert result.seed_multiplier == 0
     assert result.tuple.slots == ((1, 0), (0, 1))
     assert result.regular
@@ -314,6 +323,160 @@ def test_lifts_refuse_a_frobenius_outside_w():
     assert lift_inertia(gl2, make_pair(gl2, 3, 2, (1, 3), swap)).tuple.slots \
         == ((1, 0), (0, 1))
     assert _plan_keys(gl2) == [(swap.matrix, 3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# deferred validation: a pair is validated only when its lift fails, and
+# then before anything else, so every refusal keeps the error it had when
+# each lift validated its pair up front
+
+MINUS_I = WeylElement(matrix=((-1, 0), (0, -1)))
+
+
+def refused_cases():
+    """(label, datum, pair, exception type, message pattern), in the
+    order of precedence: incompatibility and a rank mismatch first, then
+    the plan build's refusals."""
+    gl2, gl3 = build_root_datum("GL2"), build_root_datum("GL3")
+    cycle = weyl_from_word(gl3, [0, 1])  # order 3, so cycle^2 != 1
+    swap = weyl_from_word(gl2, [0])
+    return [
+        ("invalid, w^f = 1", gl2, make_pair(gl2, 3, 2, (1, 5), swap),
+         InvalidPairError,
+         r"^pair fails compatibility at coordinates \[0, 1\] \(mod 8\)$"),
+        ("invalid, w^f != 1", gl3, make_pair(gl3, 3, 2, (1, 0, 0), cycle),
+         InvalidPairError,
+         r"^pair fails compatibility at coordinates \[0, 1\] \(mod 8\)$"),
+        ("invalid, w = -I", gl2,
+         TameInertialPair(q=3, f=2, vbar=(1, 5), w=MINUS_I),
+         InvalidPairError,
+         r"^pair fails compatibility at coordinates \[0, 1\] \(mod 8\)$"),
+        ("valid, w = -I", gl2,
+         TameInertialPair(q=3, f=2, vbar=(2, 4), w=MINUS_I),
+         ValueError, "lies outside W"),
+        ("valid, w^f != 1", gl3, make_pair(gl3, 3, 2, (0, 0, 0), cycle),
+         LiftHypothesisError,
+         r"^lifting requires the Weyl element's f-th power to be the "
+         r"identity \(f=2\)$"),
+        ("valid, other rank", gl3, make_pair(gl2, 3, 2, (1, 3), swap),
+         ValueError, r"^pair has 2 coordinates, datum has rank 3$"),
+        ("invalid, other rank", gl3, make_pair(gl2, 3, 2, (1, 5), swap),
+         ValueError, r"^pair has 2 coordinates, datum has rank 3$"),
+    ]
+
+
+def spy_on_validate_pair(monkeypatch):
+    """Count the calls through every tamelift binding of validate_pair."""
+    calls = []
+    original = tame_reps.validate_pair
+
+    def spy(datum, p):
+        calls.append(p)
+        return original(datum, p)
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if (name == "tamelift" or name.startswith("tamelift."))
+             and getattr(module, "validate_pair", None) is original]
+    assert tame_reps in bound and len(bound) >= 2
+    for module in bound:
+        monkeypatch.setattr(module, "validate_pair", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lift", [lift_inertia, regular_lift])
+def test_refused_pairs_raise_what_up_front_validation_raised(monkeypatch,
+                                                              lift):
+    calls = spy_on_validate_pair(monkeypatch)
+    for label, datum, p, error, message in refused_cases():
+        del calls[:]
+        before = _plan_keys(datum)
+        with pytest.raises(error, match=message):
+            lift(datum, p)
+        assert len(calls) == 1, label
+        if label == "invalid, w^f = 1":
+            # the configuration is liftable: its one plan is kept, as a
+            # valid pair of the same configuration would keep it
+            assert _plan_keys(datum) == before + [(p.w.matrix, p.q, p.f)]
+        else:
+            assert _plan_keys(datum) == before, label
+    gl2 = build_root_datum("GL2")
+    del calls[:]
+    assert lift(gl2, make_pair(gl2, 3, 2, (1, 3), SWAP)).regular
+    assert calls == []
+
+
+@st.composite
+def lift_sweep_attempts(draw):
+    """Any lift-sweep configuration, w^f = 1 or not, with vbar drawn
+    uniformly, from the image of xi_bar, or one unit away from it."""
+    datum = LIFT_DATA[draw(st.sampled_from(LIFT_PRESETS))]
+    q = draw(st.sampled_from(LIFT_PRIME_POWERS))
+    f = draw(st.sampled_from(LIFT_DEGREES))
+    w = draw(st.sampled_from(weyl_group_elements(datum)))
+    n = q ** f - 1
+    x = draw(st.tuples(*[st.integers(0, n - 1)] * datum.rank))
+    kind = draw(st.sampled_from(["uniform", "image", "perturbed"]))
+    if kind != "uniform":
+        x = mat_vec(averaged_scale_matrix(w.matrix, q, f), x)
+    if kind == "perturbed":
+        i = draw(st.integers(0, datum.rank - 1))
+        x = tuple(c + (k == i) for k, c in enumerate(x))
+    return datum, make_pair(datum, q, f, x, w)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(lift_sweep_attempts())
+def test_every_lifted_pair_is_valid_property(case):
+    datum, p = case
+    valid = validate_pair(datum, p).valid
+    try:
+        lifted = lift_inertia(datum, p)
+    except InvalidPairError:
+        assert not valid
+        return
+    except LiftHypothesisError:
+        assert valid
+        assert mat_pow(p.w.matrix, p.f) != identity_matrix(datum.rank)
+        return
+    assert valid
+    assert reduction(lifted.tuple) == p.vbar
+
+
+def forbidden_multipliers(pairings, n):
+    """The C >= 0 candidates that (P, A) pairs forbid: -P / (N . A) where
+    that is an integer."""
+    return {-a // (n * b) for a, b in pairings if a % (n * b) == 0}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(lift_sweep_pairs(), st.data())
+def test_every_slot_forbids_what_the_seed_forbids_property(case, data):
+    # the closed form reads the forbidden multipliers off slot 0 alone,
+    # against the plan's seed steps; over all roots, every slot's (base,
+    # seed) pairings are slot 0's reordered, so every slot forbids the same
+    # values.  The solved x and an integer x of any size (whose pairings
+    # can forbid C > 0) are both checked.
+    datum, p = case
+    plan = crystalline_lift._lift_plan(datum, p.w.matrix, p.q, p.f)
+    s, n = canonical_regular_cochar(datum), plan.modulus
+    solved = plan.xi_solver.solve(p.vbar)
+    wide = data.draw(st.tuples(*[st.integers(-4 * n, 4 * n)] * datum.rank))
+    every_slot = {}
+    for x in (solved, wide):
+        one_slot = forbidden_multipliers(
+            [(a, b // n) for a, b in zip(root_pairings(datum, x),
+                                         plan.seed_steps)], n)
+        slots = [sorted(zip(root_pairings(datum, mat_vec(m, x)),
+                            root_pairings(datum, mat_vec(m, s))))
+                 for m in plan.slot_matrices]
+        assert all(pairs == slots[0] for pairs in slots)
+        every_slot[x] = set().union(*(forbidden_multipliers(pairs, n)
+                                      for pairs in slots))
+        assert one_slot == every_slot[x]
+    forbidden = every_slot[solved]
+    result = regular_lift(datum, p)
+    assert result.seed_multiplier == min(
+        c for c in range(len(forbidden) + 1) if c not in forbidden)
 
 
 def test_averaged_seed_slots_are_weyl_translates():

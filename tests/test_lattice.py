@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import gcd
 
 from fraction_reference import rational_inverse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamelift.lattice import (
@@ -236,6 +236,64 @@ def test_solve_mod_against_brute_force():
             assert tuple(x) in brute
         else:
             assert x is None
+
+
+def solve_mod_smith_reference(snf, b, n):
+    """The canonical solution as solve_mod_smith computed it before its
+    constants were split from its solve, kept as the specification."""
+    d, u, v = snf
+    m, cols = len(u), len(v)
+    c = mat_vec(u, b)
+    y = [0] * cols
+    for i in range(min(m, cols)):
+        di = d[i][i]
+        rhs = c[i] % n
+        g = gcd(di, n)
+        if rhs % g != 0:
+            return None
+        nn = n // g
+        if nn > 1:
+            y[i] = (rhs // g) * pow((di // g) % nn, -1, nn) % nn
+    for i in range(min(m, cols), m):
+        if c[i] % n != 0:
+            return None
+    return tuple(x % n for x in mat_vec(v, tuple(y)))
+
+
+@st.composite
+def congruences(draw):
+    """a x = b (mod n) with a of 1-4 rows and 1-3 columns, n <= 12; a
+    column may be a multiple of the first, so zero Smith diagonal entries
+    are common."""
+    n = draw(st.integers(1, 12))
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cols = [draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+            for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        factor = draw(st.integers(-2, 2))
+        cols[-1] = [factor * x for x in cols[0]]
+    a = tuple(zip(*cols))
+    b = tuple(draw(st.lists(st.integers(-15, 15), min_size=m, max_size=m)))
+    return a, b, n
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@example(case=(((2, 4), (1, 2), (0, 0)), (3, 1, 5), 1))
+@example(case=(((0, 0), (0, 0)), (0, 6), 6))
+@example(case=(((2, 0), (0, 0), (0, 3)), (4, 0, 9), 12))
+@given(congruences())
+def test_solve_mod_smith_against_brute_force_property(case):
+    a, b, n = case
+    snf = smith_normal_form(a)
+    solutions = {x for x in product(range(n), repeat=len(a[0]))
+                 if all((r - s) % n == 0 for r, s in zip(mat_vec(a, x), b))}
+    x = solve_mod_smith(snf, b, n)
+    assert x == solve_mod_smith_reference(snf, b, n)
+    if not solutions:
+        assert x is None
+        return
+    assert x is not None and all(0 <= c < n for c in x)
+    assert x in solutions
 
 
 def test_solve_mod_is_deterministic():
