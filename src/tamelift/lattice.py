@@ -19,6 +19,21 @@ def is_strict_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def as_tuple(value, what: str, error=ValueError) -> tuple:
+    """tuple(value), or error(message) naming `what` when value is not
+    iterable, as a JSON number or null where a list belongs."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} must be a list, got {value!r}") from None
+
+
+def as_rows(value, what: str, error=ValueError) -> tuple[tuple, ...]:
+    """as_tuple for a list of lists, such as a matrix."""
+    return tuple(as_tuple(row, f"each row of {what}", error)
+                 for row in as_tuple(value, what, error))
+
+
 # ---------------------------------------------------------------------------
 # vectors
 

@@ -22,6 +22,8 @@ from .errors import DatumValidationError, GuardError, InternalConsistencyError
 from .lattice import (
     Mat,
     Vec,
+    as_rows,
+    as_tuple,
     det,
     dot,
     identity_matrix,
@@ -188,10 +190,14 @@ def central_cochar_space(datum: RootDatum) -> Mat:
 def make_root_datum(rank, roots, coroots, pairing, simple_roots, label="custom") -> RootDatum:
     """Validate and canonicalize a root datum; raises DatumValidationError
     naming the first violated invariant."""
-    roots = tuple(tuple(r) for r in roots)
-    coroots = tuple(tuple(c) for c in coroots)
-    pairing = tuple(tuple(p) for p in pairing)
-    simple_roots = tuple(simple_roots)
+    def shape_error(invariant):
+        return functools.partial(DatumValidationError, invariant)
+
+    roots = as_rows(roots, "roots", shape_error("roots"))
+    coroots = as_rows(coroots, "coroots", shape_error("coroots"))
+    pairing = as_rows(pairing, "pairing", shape_error("pairing-shape"))
+    simple_roots = as_tuple(simple_roots, "simple_roots",
+                            shape_error("simple-roots"))
     _check_structure(rank, roots, coroots, pairing, simple_roots)
 
     order = sorted(range(len(roots)), key=lambda i: roots[i])
@@ -228,11 +234,11 @@ def _check_structure(rank, roots, coroots, pairing, simple_roots) -> None:
         bad("roots-distinct", "duplicate root vectors")
     if any(not any(r) for r in roots):
         bad("roots-nonzero", "the zero vector cannot be a root")
-    if len(set(simple_roots)) != len(simple_roots):
-        bad("simple-roots", "repeated simple root index")
     for i in simple_roots:
         if not is_strict_int(i) or not (0 <= i < len(roots)):
             bad("simple-roots", f"simple root index {i!r} out of range")
+    if len(set(simple_roots)) != len(simple_roots):
+        bad("simple-roots", "repeated simple root index")
 
 
 def _check_axioms(datum: RootDatum) -> None:
@@ -544,7 +550,7 @@ def weyl_from_word(datum: RootDatum, word) -> WeylElement:
                 raise ValueError(f"cannot parse Weyl word letter {tok!r}")
             indices.append(int(tok))
         word = indices
-    word = tuple(word)
+    word = as_tuple(word, "Weyl word")
     gens = simple_coreflections(datum)
     for i in word:
         if not is_strict_int(i):
@@ -562,7 +568,7 @@ def weyl_from_matrix(datum: RootDatum, matrix) -> WeylElement:
     """Validate that an explicit integer matrix is a Weyl group element for
     the datum: unimodular, permutes the coroots preserving the pairing, and
     lies in W rather than only in the automorphism group of the datum."""
-    matrix = tuple(tuple(row) for row in matrix)
+    matrix = as_rows(matrix, "Weyl matrix")
     _require_weyl_shape(datum, matrix)
     w = WeylElement(matrix=matrix, word=None)  # integer and unimodular
     require_in_weyl_group(datum, w)

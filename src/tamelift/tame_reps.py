@@ -19,6 +19,7 @@ from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
     Mat,
     Vec,
+    as_tuple,
     det,
     dot,
     hnf_rows,
@@ -33,7 +34,6 @@ from .root_datum import (
     WeylElement,
     _root_permutation_cached,
     _weyl_limit_error,
-    central_cochar_space,
     per_datum,
     require_in_weyl_group,
     root_functionals,
@@ -111,10 +111,11 @@ def make_pair(datum: RootDatum, q: int, f: int, vbar, w) -> TameInertialPair:
         require_in_weyl_group(datum, w)
     else:
         w = weyl_from_word(datum, w)
+    vbar = as_tuple(vbar, "vbar")
     if len(vbar) != datum.rank:
         raise ValueError(
             f"vbar has {len(vbar)} entries, expected rank {datum.rank}")
-    return TameInertialPair(q=q, f=f, vbar=tuple(vbar), w=w)
+    return TameInertialPair(q=q, f=f, vbar=vbar, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +209,6 @@ def inertia_centralizer_roots(datum: RootDatum,
     """Roots whose pairing with vbar vanishes mod N: the root system of the
     connected centralizer of the inertia image.  Lexicographically sorted."""
     _require_valid(datum, p)
-    return _killed_roots(datum, p)
-
-
-def _killed_roots(datum: RootDatum, p: TameInertialPair) -> tuple[Vec, ...]:
-    # inertia_centralizer_roots without the validation, for callers that
-    # have validated the pair already
     n = p.modulus
     return tuple(alpha for alpha, v in zip(datum.roots,
                                            root_pairings(datum, p.vbar))
@@ -238,26 +233,21 @@ def is_G_irreducible(datum: RootDatum, p: TameInertialPair) -> IrreducibilityRes
     """Decide whether no proper parabolic contains the image.
 
     True exactly when (a) no root pairing with vbar vanishes mod N and
-    (b) the w-fixed cocharacter space is no larger than the central one.
+    (b) every w-fixed cocharacter pairs to zero with every root.  Exact for
+    every automorphism of the datum, in W or not (the w-orbit sum of a
+    stable parabolic's cocharacter is fixed and defines it); any other
+    matrix raises ValueError, as in the oracle.
     """
     killed = inertia_centralizer_roots(datum, p)
+    root_permutation(datum, p.w)  # ValueError unless w permutes the roots
     if killed:
         return IrreducibilityResult(irreducible=False, failing_root=max(killed))
-    fixed = weyl_fixed_space(datum, p.w)
-    central = central_cochar_space(datum)
-    if len(fixed) == len(central):
-        return IrreducibilityResult(irreducible=True)
-    # the central space is the common kernel of the root functionals, so a
-    # fixed vector is noncentral exactly when some root pairs nonzero with it
-    noncentral = [v for v in fixed if any(root_pairings(datum, v))]
-    if not noncentral:
-        # every element of W fixes the central cocharacters, so a fixed
-        # space of another size with no noncentral vector means w is not in W
-        raise InvalidPairError(
-            f"Frobenius element {p.w.matrix} lies outside the Weyl group of "
-            f"{datum.label}: its fixed cocharacters are all central but "
-            f"their rank is {len(fixed)}, not {len(central)}")
-    return IrreducibilityResult(irreducible=False, fixed_cochar=max(noncentral))
+    noncentral = [v for v in weyl_fixed_space(datum, p.w)
+                  if any(root_pairings(datum, v))]
+    if noncentral:
+        return IrreducibilityResult(irreducible=False,
+                                    fixed_cochar=max(noncentral))
+    return IrreducibilityResult(irreducible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +274,7 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     replaces the default guard (rank <= ORACLE_RANK_CAP and
     |W| <= ORACLE_WEYL_CAP).
     """
-    _require_valid(datum, p)
-    if _killed_roots(datum, p):
+    if inertia_centralizer_roots(datum, p):
         raise ValueError(
             "oracle requires empty inertia centralizer roots; some root "
             "pairing with vbar vanishes mod N")
@@ -441,7 +430,7 @@ def pair_from_dict(data: dict) -> tuple[RootDatum, TameInertialPair]:
     if "weyl_word" in data:
         w = weyl_from_word(datum, data["weyl_word"])
     elif "weyl_matrix" in data:
-        w = weyl_from_matrix(datum, tuple(tuple(r) for r in data["weyl_matrix"]))
+        w = weyl_from_matrix(datum, data["weyl_matrix"])
     else:
         raise ValueError("pair JSON needs weyl_word or weyl_matrix")
     return datum, make_pair(datum, data["q"], data["f"], data["vbar"], w)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from tamelift.cli import main
 from tamelift.fixtures import FIXTURE_BUILDERS
 from tamelift.jsonio import canonical_json
@@ -247,6 +251,85 @@ def test_datum_custom_bool_entry_is_rejected(tmp_path, capsys):
     code, out, err = run(["datum", "--custom", str(path)], capsys)
     assert (code, out) == (2, "")
     assert "roots: entries must be integer vectors of length 2" in err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"weyl_matrix": 5}, "Weyl matrix must be a list, got 5"),
+    ({"vbar": 5, "weyl_word": [0]}, "vbar must be a list, got 5"),
+    ({"weyl_word": 5}, "Weyl word must be a list, got 5"),
+])
+def test_pair_file_scalar_for_a_list_exits_1(tmp_path, capsys, fields,
+                                             message):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"group": "GL2", "q": 3, "f": 2,
+                                "vbar": [1, 3], **fields}))
+    code, out, err = run(["irreducible", "--pair-file", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_weyl_matrix_flag_that_is_no_matrix_exits_1(capsys):
+    code, out, err = run(["irreducible", "--group", "GL2", "--q", "3",
+                          "--f", "2", "--vbar", "1,3", "--w", "[1,2]"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: each row of Weyl matrix must be a list, got 1\n"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"roots": 5}, "roots: roots must be a list, got 5"),
+    ({"simple_roots": [[0]]},
+     "simple-roots: simple root index [0] out of range"),
+])
+def test_datum_custom_malformed_field_exits_2(tmp_path, capsys, fields,
+                                              message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "rank": 2, "roots": [[1, -1], [-1, 1]],
+        "coroots": [[1, -1], [-1, 1]], "pairing": [[1, 0], [0, 1]],
+        "simple_roots": [0], **fields}))
+    code, out, err = run(["datum", "--custom", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9)
+    | st.text("s0123 ,", max_size=6),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+SMALL_INTS = st.integers(-1, 2)
+# each field is arbitrary JSON or well shaped for rank 2, so that some
+# draws get past the parsing to the pair checks and the computations
+PAIR_FIELD_VALUES = {
+    "vbar": JSON_VALUES | st.lists(SMALL_INTS, min_size=2, max_size=2)
+    | st.just([0, 0]),
+    "weyl_word": JSON_VALUES | st.lists(st.integers(0, 1), max_size=4),
+    "weyl_matrix": JSON_VALUES | st.lists(
+        st.lists(SMALL_INTS, min_size=2, max_size=2), min_size=2,
+        max_size=2),
+}
+
+
+@st.composite
+def pair_documents(draw):
+    weyl = draw(st.sampled_from(("weyl_word", "weyl_matrix")))
+    return {"group": draw(st.sampled_from(("GL2", "SL3", "G2"))),
+            "q": draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))),
+            "f": draw(st.integers(1, 3)),
+            "vbar": draw(PAIR_FIELD_VALUES["vbar"]),
+            weyl: draw(PAIR_FIELD_VALUES[weyl])}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("validate", "irreducible", "lift",
+                                "regular-lift", "oracle")),
+       document=pair_documents())
+def test_pair_file_fields_never_fail_internally(tmp_path, capsys, command,
+                                                document):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run([command, "--pair-file", str(path)], capsys)
+    assert code in (0, 1, 2, 3)
+    assert "internal" not in err
 
 
 def test_unexpected_exception_exits_4(monkeypatch, capsys):

@@ -3,8 +3,10 @@ brute-force parabolic oracle."""
 from __future__ import annotations
 
 import itertools
+import random
 import re
 import sys
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
@@ -13,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelift import dynamic, root_datum, tame_reps
+from tamelift.acceptance import REGULAR_LIFT_MULTIPLIER_CAP
+from tamelift.crystalline_lift import reduction
 from tamelift.dynamic import (
     ParabolicType,
     normalizer_element_in_parabolic,
     parabolic_of,
 )
 from tamelift.errors import GuardError, InvalidPairError
+from tamelift.hodge_tate import regular_lift
 from tamelift.lattice import (
     identity_matrix,
     mat_mul,
@@ -370,16 +375,98 @@ def test_make_pair_rejects_weyl_elements_outside_w():
         == SWAP
 
 
-def test_irreducibility_names_a_frobenius_outside_w():
+def kernel_coordinates(datum, matrix, q, n):
+    """(V, gcds) describing the kernel of (q - matrix) mod N: with
+    D = U (q - matrix) V the Smith form, it is the set of V y for y with
+    d_i y_i = 0 mod N, i.e. each y_i a multiple of N / gcd(d_i, N)."""
+    d, _, v = smith_normal_form(
+        mat_sub(mat_scale(q, identity_matrix(datum.rank)), matrix))
+    return v, [gcd(d[i][i], n) for i in range(datum.rank)]
+
+
+def kernel_vbars(datum, matrix, q, f, rng, count):
+    """count vbars drawn uniformly from the kernel of (q - matrix) mod N."""
+    n = q ** f - 1
+    v, gcds = kernel_coordinates(datum, matrix, q, n)
+    return [vec_mod(mat_vec(v, [rng.randrange(g) * (n // g) for g in gcds]), n)
+            for _ in range(count)]
+
+
+def test_criterion_matches_oracle_outside_w():
     # built directly, the pair skips make_pair's check; it is compatible
     # and kills no root, and -I fixes no cocharacter at all
     p = TameInertialPair(q=3, f=2, vbar=(2, 4), w=WeylElement(matrix=MINUS_I))
     assert validate_pair(GL2, p)
     assert inertia_centralizer_roots(GL2, p) == ()
-    with pytest.raises(InvalidPairError,
-                       match=re.escape("((-1, 0), (0, -1)) lies outside the "
-                                       "Weyl group of GL2")):
-        is_G_irreducible(GL2, p)
+    assert is_G_irreducible(GL2, p)
+    assert brute_force_parabolic_oracle(GL2, p) == []
+    # sigma = -w is an automorphism of every datum, and none of these Weyl
+    # groups contains -1, so every sigma lies outside W
+    rng = random.Random(0)
+    verdicts = Counter()
+    for name in ("GL2", "GL3", "GL4", "SL3", "SL4", "SO6"):
+        datum = build_root_datum(name)
+        for w in weyl_group_elements(datum):
+            sigma = WeylElement(matrix=mat_scale(-1, w.matrix))
+            for q, f in itertools.product((2, 3, 4, 5, 7), (1, 2, 3, 4)):
+                if q ** f - 1 > 700:
+                    continue
+                for vbar in kernel_vbars(datum, sigma.matrix, q, f, rng, 3):
+                    p = TameInertialPair(q=q, f=f, vbar=vbar, w=sigma)
+                    if inertia_centralizer_roots(datum, p):
+                        continue
+                    verdict = bool(is_G_irreducible(datum, p))
+                    assert verdict == (not brute_force_parabolic_oracle(
+                        datum, p)), (name, q, f, vbar, w.word)
+                    verdicts[verdict] += 1
+    assert verdicts == {True: 74, False: 696}
+
+
+def test_criterion_and_oracle_refuse_a_matrix_that_permutes_no_roots():
+    # a unimodular shear: the pair is compatible and kills no root, but the
+    # shear sends the coroot (1, -1) to (0, -1), so it is no automorphism
+    p = TameInertialPair(q=3, f=1, vbar=(1, 0),
+                         w=WeylElement(matrix=((1, 1), (0, 1))))
+    assert validate_pair(GL2, p)
+    assert inertia_centralizer_roots(GL2, p) == ()
+    for decide in (is_G_irreducible, brute_force_parabolic_oracle):
+        with pytest.raises(ValueError, match="outside the coroot set"):
+            decide(GL2, p)
+
+
+def test_every_irreducible_pair_has_a_regular_lift():
+    """The main theorem as a closed loop.  Over every w of each preset,
+    q <= 9 and f <= 6 with N <= 5000, three vbars drawn from ker(q - w)
+    mod N: every pair the criterion accepts has w^f = 1 and a regular lift
+    with the same reduction and a multiplier within the cap, and the oracle
+    (every preset has rank <= 4) finds a stable proper parabolic for every
+    rejection that kills no root."""
+    rng = random.Random(0)
+    outcomes = Counter()
+    for name in ("GL2", "GL3", "GL4", "SL3", "SL4", "Sp4", "SO5", "G2"):
+        datum = build_root_datum(name)
+        ident = identity_matrix(datum.rank)
+        for w in weyl_group_elements(datum):
+            for q, f in itertools.product((2, 3, 4, 5, 7, 8, 9), range(1, 7)):
+                if q ** f - 1 > 5000:
+                    continue
+                for vbar in kernel_vbars(datum, w.matrix, q, f, rng, 3):
+                    p = make_pair(datum, q, f, vbar, w)
+                    verdict = is_G_irreducible(datum, p)
+                    if verdict:
+                        assert mat_pow(w.matrix, f) == ident
+                        out = regular_lift(datum, p)
+                        assert reduction(out.tuple) == p.vbar
+                        assert out.regular
+                        assert out.seed_multiplier <= \
+                            REGULAR_LIFT_MULTIPLIER_CAP
+                        outcomes["lifted"] += 1
+                    elif verdict.failing_root is None:
+                        assert brute_force_parabolic_oracle(datum, p)
+                        outcomes["confirmed"] += 1
+                    else:
+                        outcomes["killed"] += 1
+    assert outcomes == {"lifted": 509, "confirmed": 1641, "killed": 7030}
 
 
 ORACLE_PROPERTY_DATA = {name: build_root_datum(name) for name in
@@ -390,23 +477,17 @@ ORACLE_PROPERTY_WEYL = {name: weyl_group_elements(datum)
 
 @st.composite
 def kernel_pairs(draw):
-    """A pair whose vbar lies in the kernel of (q - w) mod N: with
-    D = U (q - w) V the Smith form, vbar = V y for y with d_i y_i = 0 mod N,
-    i.e. each y_i a multiple of N / gcd(d_i, N).  Each y_i is a nonzero
-    multiple where there is one: zeros make a killed root, which leaves
-    the oracle out, likelier."""
+    """A pair whose vbar lies in the kernel of (q - w) mod N (see
+    kernel_coordinates).  Each y_i is a nonzero multiple where there is
+    one: zeros make a killed root, which leaves the oracle out, likelier."""
     name = draw(st.sampled_from(sorted(ORACLE_PROPERTY_DATA)))
     datum = ORACLE_PROPERTY_DATA[name]
     q = draw(st.sampled_from((2, 3, 4, 5)))
     f = draw(st.sampled_from((1, 2, 3)))
     w = draw(st.sampled_from(ORACLE_PROPERTY_WEYL[name]))
     n = q ** f - 1
-    d, _, v = smith_normal_form(
-        mat_sub(mat_scale(q, identity_matrix(datum.rank)), w.matrix))
-    y = []
-    for i in range(datum.rank):
-        g = gcd(d[i][i], n)
-        y.append(draw(st.integers(min(1, g - 1), g - 1)) * (n // g))
+    v, gcds = kernel_coordinates(datum, w.matrix, q, n)
+    y = [draw(st.integers(min(1, g - 1), g - 1)) * (n // g) for g in gcds]
     return datum, make_pair(datum, q, f, vec_mod(mat_vec(v, y), n), w)
 
 
