@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -215,8 +215,8 @@ def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
         xi_bar=xi_bar,
         xi_solver=ModSolver(smith_normal_form(xi_bar), n),
         slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
-        ker_count=_count_kernel_by_snf(
-            smith_normal_form(_q_minus_w(w_matrix, q)), n),
+        ker_count=ModSolver(
+            smith_normal_form(_q_minus_w(w_matrix, q)), n).kernel_count,
         seed=seed,
         seed_steps=vec_scale(n, root_pairings(datum, seed)),
     )
@@ -300,11 +300,11 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf" counts
     them through Smith normal form; "auto" picks exhaustive when
     N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  q and f
-    are checked as a pair's are (ValueError).  The averaged matrix, the
-    gcds gcd(d_i, N) of its Smith form (the product is its kernel count)
-    and the Smith-form kernel count of q - w come from the configuration's
-    lift plan, which raises ValueError unless w lies in W and
-    LiftHypothesisError unless w^f is the identity.
+    are checked as a pair's are (ValueError, or GuardError for too large
+    an N).  The averaged matrix and the Smith-form kernel counts of it and
+    of q - w come from the configuration's lift plan, which raises
+    ValueError unless w lies in W and LiftHypothesisError unless w^f is the
+    identity.
     """
     if method not in ("auto", "exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
@@ -326,7 +326,7 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
         xi_ker_count = _count_kernel_by_halves(plan.xi_bar, n)
     else:
         ker_count = plan.ker_count
-        xi_ker_count = prod(g for g, _, _ in plan.xi_solver.steps)
+        xi_ker_count = plan.xi_solver.kernel_count
     image_count, rem = divmod(n ** rank, xi_ker_count)
     if rem:
         raise InternalConsistencyError(
@@ -373,15 +373,6 @@ def _residue_counts(cols: list[Vec], n: int, rows: int) -> dict[Vec, int]:
                 grown[key] = grown.get(key, 0) + m
         counts = grown
     return counts
-
-
-def _count_kernel_by_snf(snf: tuple[Mat, Mat, Mat], n: int) -> int:
-    """Kernel size mod n of a square matrix given by its Smith form."""
-    d, _, _ = snf
-    count = 1
-    for i in range(len(d)):
-        count *= gcd(d[i][i], n)
-    return count
 
 
 # ---------------------------------------------------------------------------

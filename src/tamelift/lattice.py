@@ -5,7 +5,7 @@ Matrices are tuples of row tuples.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, neg, sub
 
 Vec = tuple[int, ...]
@@ -325,10 +325,19 @@ class ModSolver:
         self.modulus, self.u, self.v = n, u, v
         self.steps = tuple(steps)
 
+    @property
+    def kernel_count(self) -> int:
+        """Size of the kernel of a x = 0 (mod n): gcd(d_i, n) per diagonal
+        entry, and n per column beyond the diagonal."""
+        return prod(g for g, _, _ in self.steps) * self.modulus ** (
+            len(self.v) - len(self.steps))
+
     def solve(self, b: Vec) -> Vec | None:
-        """The canonical solution of a x = b (mod n), or None (see
-        `solve_mod_smith`).  y_i = (c_i / g_i) . inv_i mod n / g_i needs no
-        prior reduction of c = u b mod n: g_i divides n."""
+        """The canonical solution x in [0, n)^cols of a x = b (mod n), or
+        None: the Smith-form particular solution with every free parameter
+        set to 0, coordinates then reduced into [0, n).  y_i = (c_i / g_i)
+        . inv_i mod n / g_i needs no prior reduction of c = u b mod n: g_i
+        divides n."""
         steps = self.steps
         c = mat_vec(self.u, b)
         # rows of d beyond its columns read 0 = c_i (mod n)
@@ -341,14 +350,6 @@ class ModSolver:
                 return None
             y[i] = ci // g * inv % nn
         return vec_mod(mat_vec(self.v, y), self.modulus)
-
-
-def solve_mod_smith(snf: tuple[Mat, Mat, Mat], b: Vec, n: int) -> Vec | None:
-    """Canonical solution x in [0, n)^cols of a x = b (mod n), or None, for
-    a matrix a given by its Smith form (d, u, v), as `smith_normal_form`
-    returns it.  Canonical means: Smith-form particular solution with every
-    free parameter set to 0, coordinates then reduced into [0, n)."""
-    return ModSolver(snf, n).solve(b)
 
 
 def solve_int_smith(snf: tuple[Mat, Mat, Mat], b: Vec) -> Vec | None:

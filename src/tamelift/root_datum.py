@@ -36,6 +36,9 @@ from .lattice import (
     matrix_order,
     smith_normal_form,
     solve_int_smith,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 PRESET_RANK_CAP = 8
@@ -333,15 +336,8 @@ def general_linear(n: int) -> RootDatum:
     """GL(n) in permutation coordinates: both lattices Z^n, identity pairing,
     roots and coroots e_i - e_j."""
     _check_preset_rank("GL", n, n)
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [0] * n
-                v[i], v[j] = 1, -1
-                roots.append(tuple(v))
-    simples = [roots.index(_unit_diff(n, i, i + 1)) for i in range(n - 1)]
-    return make_root_datum(n, roots, roots, identity_matrix(n), simples, f"GL{n}")
+    chain = _type_a_chain(n)
+    return _based_datum(n, chain, chain, f"GL{n}")
 
 
 def special_linear(n: int) -> RootDatum:
@@ -353,35 +349,12 @@ def special_linear(n: int) -> RootDatum:
         raise ValueError("SL(n) needs n >= 2")
     r = n - 1
     _check_preset_rank("SL", n, r)
-
-    def char(i, j):  # character e_i - e_j of the GL torus, reduced
-        v = [0] * r
-        if i < r:
-            v[i] += 1
-        else:
-            v = [x - 1 for x in v]
-        if j < r:
-            v[j] -= 1
-        else:
-            v = [x + 1 for x in v]
-        return tuple(v)
-
-    def cochar(i, j):  # coroot e_i - e_j in the basis f_k = e_k - e_n
-        v = [0] * r
-        if i < r:
-            v[i] += 1
-        if j < r:
-            v[j] -= 1
-        return tuple(v)
-
-    roots, coroots = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(char(i, j))
-                coroots.append(cochar(i, j))
-    simples = [roots.index(char(i, i + 1)) for i in range(n - 1)]
-    return make_root_datum(r, roots, coroots, identity_matrix(r), simples, f"SL{n}")
+    # the last simple root e_(n-1) - e_n reads e_(n-1) + (1, ..., 1) as a
+    # character and f_(n-1) as a cocharacter
+    last = identity_matrix(r)[-1]
+    chain = _type_a_chain(r)
+    return _based_datum(r, chain + [vec_add(last, (1,) * r)],
+                        chain + [last], f"SL{n}")
 
 
 def symplectic(two_n: int) -> RootDatum:
@@ -391,21 +364,10 @@ def symplectic(two_n: int) -> RootDatum:
         raise ValueError("Sp(2n) needs a positive even size")
     n = two_n // 2
     _check_preset_rank("Sp", two_n, n)
-    roots, coroots = [], []
-    for i in range(n):
-        for sign in (1, -1):
-            v = [0] * n
-            v[i] = 2 * sign
-            roots.append(tuple(v))
-            w = [0] * n
-            w[i] = sign
-            coroots.append(tuple(w))
-    _add_dn_roots(n, roots, coroots)
-    simples = [roots.index(_unit_diff(n, i, i + 1)) for i in range(n - 1)]
-    last = [0] * n
-    last[n - 1] = 2
-    simples.append(roots.index(tuple(last)))
-    return make_root_datum(n, roots, coroots, identity_matrix(n), simples, f"Sp{two_n}")
+    last = identity_matrix(n)[-1]
+    chain = _type_a_chain(n)
+    return _based_datum(n, chain + [vec_scale(2, last)], chain + [last],
+                        f"Sp{two_n}")
 
 
 def special_orthogonal(m: int) -> RootDatum:
@@ -415,55 +377,52 @@ def special_orthogonal(m: int) -> RootDatum:
         raise ValueError("SO(m) needs m >= 2")
     n = m // 2
     _check_preset_rank("SO", m, n)
-    roots, coroots = [], []
+    e = identity_matrix(n)
+    roots = coroots = _type_a_chain(n)
     if m % 2:  # B_n
-        for i in range(n):
-            for sign in (1, -1):
-                v = [0] * n
-                v[i] = sign
-                roots.append(tuple(v))
-                w = [0] * n
-                w[i] = 2 * sign
-                coroots.append(tuple(w))
-    _add_dn_roots(n, roots, coroots)
-    simples = [roots.index(_unit_diff(n, i, i + 1)) for i in range(n - 1)]
-    if m % 2:
-        last = [0] * n
-        last[n - 1] = 1
-        simples.append(roots.index(tuple(last)))
-    elif n >= 2:
-        last = [0] * n
-        last[n - 2] = last[n - 1] = 1
-        simples.append(roots.index(tuple(last)))
-    return make_root_datum(n, roots, coroots, identity_matrix(n), simples, f"SO{m}")
+        roots, coroots = roots + [e[-1]], coroots + [vec_scale(2, e[-1])]
+    elif n >= 2:  # D_n
+        roots = coroots = roots + [vec_add(e[-2], e[-1])]
+    return _based_datum(n, roots, coroots, f"SO{m}")
 
 
 def g2_datum() -> RootDatum:
     """G2 in simple-root coordinates for characters and fundamental-coweight
     coordinates for cocharacters (identity pairing)."""
-    pos_roots = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-    pos_coroots = [(2, -3), (-1, 2), (-1, 3), (1, 0), (1, -1), (0, 1)]
-    roots = pos_roots + [tuple(-x for x in r) for r in pos_roots]
-    coroots = pos_coroots + [tuple(-x for x in c) for c in pos_coroots]
-    simples = [roots.index((1, 0)), roots.index((0, 1))]
-    return make_root_datum(2, roots, coroots, identity_matrix(2), simples, "G2")
+    return _based_datum(2, [(1, 0), (0, 1)], [(2, -3), (-1, 2)], "G2")
 
 
-def _add_dn_roots(n, roots, coroots) -> None:
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    roots.append(tuple(v))
-                    coroots.append(tuple(v))
+def _type_a_chain(n: int) -> list[Vec]:
+    """The simple roots e_i - e_(i+1), i < n - 1, of type A_(n-1) in Z^n."""
+    e = identity_matrix(n)
+    return [vec_sub(e[i], e[i + 1]) for i in range(n - 1)]
 
 
-def _unit_diff(n, i, j) -> Vec:
-    v = [0] * n
-    v[i], v[j] = 1, -1
-    return tuple(v)
+def _based_datum(rank, simple_roots, simple_coroots, label) -> RootDatum:
+    """The datum with these simple roots and coroots, in this Dynkin order,
+    under the identity pairing.  Every other (root, coroot) pair is the
+    image of a simple one under simple reflections: s_i(beta) = beta -
+    <beta, alpha_i^vee> alpha_i and s_i(beta^vee) = beta^vee - <alpha_i,
+    beta^vee> alpha_i^vee.  `make_root_datum` validates and sorts the
+    result, so the order of the closure cannot reach the datum."""
+    simples = list(zip(simple_roots, simple_coroots))
+    coroot_of = dict(simples)
+    frontier = list(coroot_of)
+    while frontier:
+        grown = []
+        for beta in frontier:
+            beta_v = coroot_of[beta]
+            for alpha, alpha_v in simples:
+                k = dot(beta, alpha_v)
+                image = tuple([b - k * a for b, a in zip(beta, alpha)])
+                if image not in coroot_of:
+                    k = dot(alpha, beta_v)
+                    coroot_of[image] = tuple(
+                        [b - k * a for b, a in zip(beta_v, alpha_v)])
+                    grown.append(image)
+        frontier = grown
+    return make_root_datum(rank, list(coroot_of), list(coroot_of.values()),
+                           identity_matrix(rank), range(len(simples)), label)
 
 
 def _check_preset_rank(family: str, size: int, rank: int) -> None:

@@ -47,6 +47,7 @@ from .root_datum import (
 
 ORACLE_RANK_CAP = 4
 ORACLE_WEYL_CAP = 1152
+MODULUS_BITS_CAP = 4096
 
 
 def is_prime_power(q: int) -> bool:
@@ -65,10 +66,11 @@ def is_prime_power(q: int) -> bool:
 
 
 def _require_q_f(q: int, f: int) -> None:
-    """Reject (ValueError) a q that is not a prime power or an f below 1.
-    Both must be ints and not bools: floats equal to integers hash alike,
-    so one would otherwise share (and could fill) every memo keyed on q or
-    f."""
+    """Reject (ValueError) a q that is not a prime power or an f below 1,
+    and (GuardError) a modulus N = q^f - 1 of more than MODULUS_BITS_CAP
+    bits.  Both must be ints and not bools: floats equal to integers hash
+    alike, so one would otherwise share (and could fill) every memo keyed
+    on q or f."""
     for name, value in (("q", q), ("f", f)):
         if not is_strict_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -76,6 +78,13 @@ def _require_q_f(q: int, f: int) -> None:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     if f < 1:
         raise ValueError(f"f must be a positive integer, got {f}")
+    # q^f - 1 has at least (bits of q - 1) . f bits, so a large f is
+    # refused before q^f is computed
+    if ((q.bit_length() - 1) * f > MODULUS_BITS_CAP
+            or (q ** f - 1).bit_length() > MODULUS_BITS_CAP):
+        raise GuardError(
+            f"modulus q^f - 1 exceeds the bound of {MODULUS_BITS_CAP} bits "
+            f"(q has {q.bit_length()} bits, f = {f})")
 
 
 @dataclass(frozen=True)

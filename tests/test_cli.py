@@ -3,6 +3,7 @@ formats, exit codes, and determinism."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +155,18 @@ def test_oracle_gl4_pair(capsys):
     assert code == 0
     assert out.startswith("stable proper parabolics: 2\n")
     assert "cochar (1, 0, 1, 0)" in out
+
+
+@pytest.mark.parametrize("f", ["20000", "200000"])
+def test_lift_degree_over_the_bound_exits_3_at_once(capsys, f):
+    # both once ran the lift: 20000 to a 4,300-digit printing error (exit
+    # 1), 200000 for more than 100 s
+    start = time.perf_counter()
+    code, out, err = run(["lift", "--group", "GL2", "--q", "2", "--f", f,
+                          "--w", "", "--vbar", "0,0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "bound of 4096 bits" in err and "internal" not in err
 
 
 def test_oracle_guard_and_env_override(monkeypatch, capsys):

@@ -19,7 +19,6 @@ from tamelift.crystalline_lift import (
     EXHAUSTIVE_CAP,
     CrysCharTuple,
     _count_kernel_by_halves,
-    _count_kernel_by_snf,
     _lift_plan,
     averaged_scale_matrix,
     frobenius_shift,
@@ -38,6 +37,7 @@ from tamelift.errors import (
     LiftHypothesisError,
 )
 from tamelift.lattice import (
+    ModSolver,
     identity_matrix,
     mat_add,
     mat_pow,
@@ -53,7 +53,7 @@ from tamelift.root_datum import (
     weyl_group_elements,
     weyl_identity,
 )
-from tamelift.tame_reps import make_pair
+from tamelift.tame_reps import MODULUS_BITS_CAP, make_pair
 
 GL2 = build_root_datum("GL2")
 GL3 = build_root_datum("GL3")
@@ -150,6 +150,15 @@ def test_crys_tuple_checks_q_and_f_as_a_pair_does():
             make_crys_tuple(GL2, q, [(1, 0), (0, 1)])
     with pytest.raises(ValueError, match="f must be a positive integer"):
         CrysCharTuple(datum=GL2, q=3, f=0, slots=())
+
+
+@pytest.mark.parametrize("q, f", [(2, MODULUS_BITS_CAP + 1), (3, 2585),
+                                  (2, 200000)])
+def test_tuple_and_exactness_check_bound_the_modulus(q, f):
+    with pytest.raises(GuardError, match=f"bound of {MODULUS_BITS_CAP}"):
+        CrysCharTuple(datum=GL2, q=q, f=f, slots=((0, 0),) * f)
+    with pytest.raises(GuardError, match=f"bound of {MODULUS_BITS_CAP}"):
+        simple_trick_check(GL2, q, f, weyl_identity(GL2), method="snf")
 
 
 def test_reduction_examples():
@@ -324,7 +333,7 @@ def test_halves_count_matches_odometer_and_smith_form(case):
     mat, n = case
     count = _count_kernel_by_halves(mat, n)
     assert count == count_kernel_by_odometer(mat, n)
-    assert count == _count_kernel_by_snf(smith_normal_form(mat), n)
+    assert count == ModSolver(smith_normal_form(mat), n).kernel_count
 
 
 def test_halves_count_on_every_lift_sweep_matrix():
@@ -338,7 +347,7 @@ def test_halves_count_on_every_lift_sweep_matrix():
                           mat_scale(-1, w.matrix))
         for mat in (ker_mat, plan.xi_bar):
             count = _count_kernel_by_halves(mat, n)
-            assert count == _count_kernel_by_snf(smith_normal_form(mat), n)
+            assert count == ModSolver(smith_normal_form(mat), n).kernel_count
             if n ** datum.rank <= 20000:
                 assert count == count_kernel_by_odometer(mat, n)
                 odometer_checked += 1

@@ -52,11 +52,11 @@ from tamelift.hodge_tate import (
     regular_seed,
 )
 from tamelift.lattice import (
+    ModSolver,
     identity_matrix,
     mat_pow,
     mat_vec,
     smith_normal_form,
-    solve_mod_smith,
     vec_add,
     vec_mod,
     vec_scale,
@@ -194,7 +194,7 @@ def test_regular_lift_sweep():
 def reference_lift(datum, p):
     n = p.modulus
     xi_bar = averaged_scale_matrix(p.w.matrix, p.q, p.f)
-    x = solve_mod_smith(smith_normal_form(xi_bar), p.vbar, n)
+    x = ModSolver(smith_normal_form(xi_bar), n).solve(p.vbar)
     seed = CrysCharTuple(datum=datum, q=p.q, f=p.f,
                          slots=(x,) + (zero_vec(datum.rank),) * (p.f - 1))
     return xi_operator(p.w, seed)

@@ -19,13 +19,13 @@ from tamelift.lattice import (
     det,
     hnf_rows,
     identity_matrix,
+    ModSolver,
     integer_kernel_basis,
     mat_mul,
     mat_vec,
     matrix_order,
     smith_normal_form,
     solve_int_smith,
-    solve_mod_smith,
 )
 
 
@@ -224,7 +224,7 @@ def test_solve_mod_against_brute_force():
         modulus = rng.randint(2, 7)
         a = random_matrix(rng, rng.randint(1, 2), n, bound=6)
         b = tuple(rng.randint(-6, 6) for _ in a)
-        x = solve_mod_smith(smith_normal_form(a), b, modulus)
+        x = ModSolver(smith_normal_form(a), modulus).solve(b)
         brute = [
             v
             for v in product(range(modulus), repeat=n)
@@ -239,8 +239,8 @@ def test_solve_mod_against_brute_force():
 
 
 def solve_mod_smith_reference(snf, b, n):
-    """The canonical solution as solve_mod_smith computed it before its
-    constants were split from its solve, kept as the specification."""
+    """The canonical solution as the Smith-form solve computed it before
+    its constants were split from its solve, kept as the specification."""
     d, u, v = snf
     m, cols = len(u), len(v)
     c = mat_vec(u, b)
@@ -287,8 +287,12 @@ def test_solve_mod_smith_against_brute_force_property(case):
     snf = smith_normal_form(a)
     solutions = {x for x in product(range(n), repeat=len(a[0]))
                  if all((r - s) % n == 0 for r, s in zip(mat_vec(a, x), b))}
-    x = solve_mod_smith(snf, b, n)
+    solver = ModSolver(snf, n)
+    x = solver.solve(b)
     assert x == solve_mod_smith_reference(snf, b, n)
+    assert solver.kernel_count == sum(
+        1 for x in product(range(n), repeat=len(a[0]))
+        if all(r % n == 0 for r in mat_vec(a, x)))
     if not solutions:
         assert x is None
         return
@@ -299,8 +303,8 @@ def test_solve_mod_smith_against_brute_force_property(case):
 def test_solve_mod_is_deterministic():
     a = ((3, 1), (1, 3))
     b = (1, 3)
-    assert (solve_mod_smith(smith_normal_form(a), b, 8)
-            == solve_mod_smith(smith_normal_form(a), b, 8))
+    assert (ModSolver(smith_normal_form(a), 8).solve(b)
+            == ModSolver(smith_normal_form(a), 8).solve(b))
 
 
 def test_rational_inverse_roundtrip():
@@ -352,7 +356,7 @@ def test_solve_int_smith_against_oracles():
         else:
             appended = tuple(row + (bi,) for row, bi in zip(a, b))
             assert (frac_rank(appended) > frac_rank(a)
-                    or any(solve_mod_smith(snf, b, n) is None
+                    or any(ModSolver(snf, n).solve(b) is None
                            for n in range(2, 200)))
 
 

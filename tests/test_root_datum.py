@@ -8,6 +8,7 @@ reflections; coordinates are compared through the Fraction solver in
 from __future__ import annotations
 
 import gc
+import hashlib
 import pickle
 import random
 import weakref
@@ -23,6 +24,7 @@ from fraction_reference import (
 from tamelift.crystalline_lift import lift_inertia, simple_trick_check
 from tamelift.errors import DatumValidationError, GuardError
 from tamelift.hodge_tate import regular_lift
+from tamelift.jsonio import canonical_json
 from tamelift.lattice import dot
 from tamelift.root_datum import (
     WeylElement,
@@ -401,6 +403,80 @@ def test_preset_rank_guards():
         build_root_datum("Sp5")  # odd size
 
 
+# every preset name with the sha256 of its canonical JSON (datum_to_dict,
+# label and simple_coreflections), or the ValueError text that refuses it;
+# recorded from the hand-written root tables the presets were built from
+# before the reflection closure
+PRESET_DIGESTS = {
+    'GL0': 'GL0: rank must be at least 1',
+    'GL1': '02c49826d04297ec99c435682107cbc4a2d6b6f8909594e89ae1e16bc4bd1c90',
+    'GL2': 'a551a37f1cf7da222e275741767c0c3678947d3ae402a3d3a05d8d470388aa40',
+    'GL3': '16acbc5b7b5828ab7fcfd5c3a3d361094691f7fe01388ed8cb14b6e2dfef11a0',
+    'GL4': 'aaca5e30f540627669fa2a4886c660000d01a477250190cd2f4a48a5046ac36d',
+    'GL5': '57039dfc600a9d74049727494cde39db114710b71d8f757ee35394d135f0be6b',
+    'GL6': '66194699716ef3f99a626a5d119a2942ae3023e6e67feffa675c546f6bd576a6',
+    'GL7': 'a5fee4e491650c064d2f0ce701c271ad829e7b52b263a35d66c171c17a648aa5',
+    'GL8': '661d27c2ed5313d37348f4d1ba64a8491aa64bedb748b28d8aceca0f4c396c40',
+    'GL9': 'GL9: preset rank 9 exceeds cap 8',
+    'SL1': 'SL(n) needs n >= 2',
+    'SL2': 'd8b9379149d488efdfdb6da38829febc4fd4e61fddbd4be98e69d42fa822f525',
+    'SL3': '1c62bf453e5ff411910b20aae419dc2e41f15d3e4431e3ba01193a170251ab77',
+    'SL4': '04291f53ed2ab68caf600d6423f3df2555923a7a187a8f7add928d248c39f7e8',
+    'SL5': '0c88d839e52636d0eb03ddd6b4a9ae37f47912f43f4c54a9c850de9df3bdcf98',
+    'SL6': '6fd846cf133d62cfdcba290dedbb93ab63a17f75e66fddd34bddfff34041aa95',
+    'SL7': '90421bd68d9a36cea27c796473b4471422f0a1725a673e78edc11c2844c4e502',
+    'SL8': 'fc6d60cc6aa504ec0faef3ce3f693a7bbd2d76d7cbe6cd227da5ee27396ba83b',
+    'SL9': 'b9c71617a65a9cbf42813dab11bf7bfa2dbcbe34baec0d990159d635e4cb9370',
+    'SL10': 'SL10: preset rank 9 exceeds cap 8',
+    'Sp0': 'Sp(2n) needs a positive even size',
+    'Sp3': 'Sp(2n) needs a positive even size',
+    'Sp2': 'f13c843eb1e121f1247fc5f95371bb55e3034fc08f8dd58dd8fbccc59a2ffc1e',
+    'Sp4': 'e5a89b9dea60b8bb055a024685e7fbcc47ed36b29e4b9ad36735dd3d0d79a1f3',
+    'Sp6': '2fa0707764aab132d0ab9a4c5664fe9f6498a727224b1cd5c1936747b4680f85',
+    'Sp8': '6cfdf5923127d93d5aae5e092864670c3be8b5599cb91ae031e2024b3079f542',
+    'Sp10': 'a3e9efa44e1769e21b117a78ba19d0f32e0256bc92e1642a9e84054dbcaf00e7',
+    'Sp12': 'd24517529c54ed524360468950ec1cfed071d458bb1d169d31b6749380c12bd6',
+    'Sp14': 'd4ce9916372ad84f907f9d83b85ccc5fd1fee61b0d44f743a89b03400862a846',
+    'Sp16': 'd4021e6be442896d1b859a61159ec37b14436a683a0448db29a489a819b01d2f',
+    'Sp18': 'Sp18: preset rank 9 exceeds cap 8',
+    'SO1': 'SO(m) needs m >= 2',
+    'SO2': 'c806e905193443a2932370e63773c8c8b4d0ef30241b712c186389942fcff174',
+    'SO3': 'f8f23f33ca0490c2aaa224816305adfe0ebd50eede0ed9dcda4b2a3d7ea44ced',
+    'SO4': '5709b19bcd6b46bf90f9d1dffdc39c8020b330463ffd9f32b8c4d345db712780',
+    'SO5': '4c715ff8b5dd29191b3b87ea8a042361237f3d1e2c26e60c515b98521f2941a6',
+    'SO6': '24e3a11bb66d9a24b88fac7d29bacfd1e87f0a8314ab5a5088244a9235c76f5c',
+    'SO7': '2e0f03a2f9a282ce70ad6c48752960f463b1135090b65678c372f894bcc65eb6',
+    'SO8': 'd6beefb1ce483817d621850ce04374e6b8f354c7eb9ea771bcf775089fc62e43',
+    'SO9': '7fb3607848f79337771440565d0a56211377dbc97370aa95881b015f8672ea19',
+    'SO10': 'f43ccf023aba1e0028eaf25f1cc7532c49a970eaff5341f5151e1093aa47bd51',
+    'SO11': '50aa5863b61f7e3a596041f03471e1db334fdac8205b267358b4c528bf9adf0f',
+    'SO12': 'a11a9febcddbe09e38ea9d153ab7de2ebf13c38b37292856344e972c57f442ac',
+    'SO13': '974e8be5e53a63523739a06a0fae090a8a9c6bfc01d78366abeab961ca376dad',
+    'SO14': '379545510b18f58cc1471af19fdfda14a17446e64e894af07ccfcaa8eaa9f2ae',
+    'SO15': '00bcd5366acbf9cb712f47ec6db5f2e1e834c9bc261eae4113d30ddecf3e3e9b',
+    'SO16': '4b74d10c87f0c9e14cc80b7b5d1cbfb842c38c9d3e3f17d778ec3c82416ab00a',
+    'SO17': '42abca741457ccd83887a6c84b96e9d16ca940e70423fadeb78b00b637afb88b',
+    'SO18': 'SO18: preset rank 9 exceeds cap 8',
+    'SO19': 'SO19: preset rank 9 exceeds cap 8',
+    'G2': '2827a87b1d2f3538ec7b40d2d0f3e7b76ee5033d958dd90b174ae00961a0d71c',
+    'E8': "unknown group 'E8'; expected GLn, SLn, Sp2n, SOm, or G2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_outcome_is_pinned(name):
+    try:
+        datum = build_root_datum(name)
+    except ValueError as exc:
+        assert str(exc) == PRESET_DIGESTS[name]
+        return
+    doc = {**datum_to_dict(datum), "label": datum.label,
+           "simple_coreflections": [[list(row) for row in m]
+                                    for m in simple_coreflections(datum)]}
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == PRESET_DIGESTS[name]
+
+
 def test_simple_coreflections_have_order_two():
     for name in ["GL4", "SO7", "G2"]:
         datum = build_root_datum(name)
@@ -540,9 +616,12 @@ def test_axiom_check_computes_each_pairing_once(monkeypatch):
         calls.append(1)
         return dot(u, v)
 
+    # the preset's own closure pairs roots too: count the validation alone
+    built = build_root_datum("Sp6")
     monkeypatch.setattr(rd, "dot", counting_dot)
     monkeypatch.setattr(rd, "pair", None)
-    sp6 = build_root_datum("Sp6")
+    sp6 = make_root_datum(built.rank, built.roots, built.coroots,
+                          built.pairing, built.simple_roots, built.label)
     # one <alpha, beta^vee> per ordered pair of roots, read off the root
     # functionals that the check leaves in the memo with the other tables
     # it served

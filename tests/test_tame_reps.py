@@ -52,6 +52,7 @@ from tamelift.root_datum import (
     weyl_identity,
 )
 from tamelift.tame_reps import (
+    MODULUS_BITS_CAP,
     ORACLE_WEYL_CAP,
     TameInertialPair,
     _stable_proper_parabolics,
@@ -101,6 +102,23 @@ def test_pair_constructor_guards():
         make_pair(GL2, 3, 0, (0, 0), SWAP)
     with pytest.raises(ValueError):
         make_pair(GL2, 3, 2, (0, 0, 0), SWAP)
+
+
+def test_pair_modulus_is_bounded():
+    # admitted: N of exactly MODULUS_BITS_CAP bits (2^4096 - 1 and
+    # 3^2584 - 1), E8's Coxeter moduli 3^30 - 1, a degree-3,000 lift and the
+    # largest q in use
+    for q, f in ((2, MODULUS_BITS_CAP), (3, 2584), (3, 30), (2, 3000),
+                 (2 ** 67, 4)):
+        assert make_pair(GL2, q, f, (0, 0), SWAP).modulus == q ** f - 1
+    # refused: 3^2585 - 1 has 4098 bits, found only by computing it; the
+    # other degrees are refused before q^f is computed
+    for q, f in ((2, MODULUS_BITS_CAP + 1), (3, 2585), (2, 20000),
+                 (2 ** 67, 10 ** 12)):
+        with pytest.raises(GuardError, match=f"bound of {MODULUS_BITS_CAP}"):
+            make_pair(GL2, q, f, (0, 0), SWAP)
+        with pytest.raises(GuardError, match=f"bound of {MODULUS_BITS_CAP}"):
+            TameInertialPair(q=q, f=f, vbar=(0, 0), w=SWAP)
 
 
 @pytest.mark.parametrize("q, f, vbar", [
