@@ -165,93 +165,76 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
     """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal,
     nonnegative, and each diagonal entry dividing the next.
 
-    Pivoting is deterministic (smallest absolute value, then row-major
-    position), so downstream canonical solutions are reproducible.
+    One augmented matrix [[a, 1_m], [1_n, 0]] is reduced: row operations act
+    on its first m rows and so build u in columns n.., column operations act
+    on its first n columns and so build v in rows m..  Pivoting is
+    deterministic (smallest absolute value, then row-major position), so
+    downstream canonical solutions are reproducible.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    work = [list(row) for row in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [[*row, *[0] * m] for row in a] + [[0] * (n + m) for _ in range(n)]
+    for i in range(m):
+        w[i][n + i] = 1
+    for j in range(n):
+        w[m + j][j] = 1
 
     def add_row(i: int, j: int, c: int) -> None:  # row_i += c*row_j
-        wi, wj = work[i], work[j]
-        for k in range(n):
+        wi, wj = w[i], w[j]
+        for k in range(n + m):
             wi[k] += c * wj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] += c * uj[k]
 
     def add_col(j: int, i: int, c: int) -> None:  # col_j += c*col_i
-        for row in work:
+        for row in w:
             row[j] += c * row[i]
-        for row in v:
-            row[j] += c * row[i]
-
-    def swap_rows(i: int, j: int) -> None:
-        work[i], work[j] = work[j], work[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in w:
             row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(m, n):
-        # pick the smallest nonzero entry of the trailing submatrix as pivot
+        # the smallest nonzero entry of the trailing submatrix is the pivot
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                e = work[i][j]
-                if e != 0 and (best is None or abs(e) < best[0]):
+                e = w[i][j]
+                if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
         if best is None:
             break
-        swap_rows(t, best[1])
+        w[t], w[best[1]] = w[best[1]], w[t]
         swap_cols(t, best[2])
-        while True:
-            p = work[t][t]
-            dirty = False
+        while True:  # clear the pivot's column, then its row
+            p = w[t][t]
             for i in range(t + 1, m):
-                if work[i][t] != 0:
-                    add_row(i, t, -(work[i][t] // p))
-                    if work[i][t] != 0:  # remainder smaller than |p|
-                        swap_rows(t, i)
-                        dirty = True
+                if w[i][t]:
+                    add_row(i, t, -(w[i][t] // p))
+                    if w[i][t]:  # remainder smaller than |p|: new pivot
+                        w[t], w[i] = w[i], w[t]
                         break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if work[t][j] != 0:
-                    add_col(j, t, -(work[t][j] // p))
-                    if work[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        # pivot must divide every remaining entry
-        p = work[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if work[i][j] % p != 0:
-                    offender = i
+            else:
+                for j in range(t + 1, n):
+                    if w[t][j]:
+                        add_col(j, t, -(w[t][j] // p))
+                        if w[t][j]:
+                            swap_cols(t, j)
+                            break
+                else:
                     break
-            if offender is not None:
+        # the pivot must divide every remaining entry
+        for i in range(t + 1, m):
+            if any(x % p for x in w[i][t + 1:n]):
+                add_row(t, i, 1)
                 break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if work[t][t] < 0:
-            add_row(t, t, -2)  # negate the row
-        t += 1
-
-    d = tuple(tuple(row) for row in work)
-    return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+        else:
+            if p < 0:
+                w[t] = [-x for x in w[t]]
+            t += 1
+    top, bottom = w[:m], w[m:]
+    return (tuple([tuple(row[:n]) for row in top]),
+            tuple([tuple(row[n:]) for row in top]),
+            tuple([tuple(row[:n]) for row in bottom]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +275,17 @@ def hnf_rows(rows) -> Mat:
 
 
 def integer_kernel_basis(a: Mat, n: int | None = None) -> Mat:
-    """Canonical basis of {x in Z^n : a x = 0}; this kernel is saturated."""
+    """Canonical basis of {x in Z^n : a x = 0}; this kernel is saturated.
+
+    Row operations take [a^T | 1_n] to its Hermite form [h | t] with t
+    unimodular and h = t a^T, so the rows of t where h is zero are a basis
+    of the kernel, and already in Hermite form."""
     m = len(a)
     if n is None:
         n = len(a[0]) if m else 0
-    if m == 0:
-        return identity_matrix(n)
-    d, _, v = smith_normal_form(a)
-    cols = []
-    for j in range(n):
-        dj = d[j][j] if j < min(m, n) else 0
-        if dj == 0:
-            cols.append(tuple(v[i][j] for i in range(n)))
-    return hnf_rows(cols)
+    rows = hnf_rows(tuple(row[j] for row in a)
+                    + tuple(int(i == j) for i in range(n)) for j in range(n))
+    return tuple(row[m:] for row in rows if not any(row[:m]))
 
 
 class ModSolver:

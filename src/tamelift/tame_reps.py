@@ -48,29 +48,36 @@ from .root_datum import (
 ORACLE_RANK_CAP = 4
 ORACLE_WEYL_CAP = 1152
 MODULUS_BITS_CAP = 4096
+PRIME_TRIAL_BOUND = 2 ** 20
 
 
 def is_prime_power(q: int) -> bool:
+    """Whether q is a prime power, by trial division with 2 ..
+    PRIME_TRIAL_BOUND; GuardError when none of them divides a q of at least
+    PRIME_TRIAL_BOUND^2, which that cannot decide."""
     if q < 2:
         return False
     p = 2
     while p * p <= q:
         if q % p == 0:
-            break
+            while q % p == 0:
+                q //= p
+            return q == 1
+        if p == PRIME_TRIAL_BOUND:
+            raise GuardError(
+                f"q has no prime factor up to {PRIME_TRIAL_BOUND}, the bound "
+                f"of trial division, and too many bits ({q.bit_length()}) "
+                f"for that to decide whether it is a prime power")
         p += 1
-    else:
-        p = q
-    while q % p == 0:
-        q //= p
-    return q == 1
+    return True
 
 
 def _require_q_f(q: int, f: int) -> None:
     """Reject (ValueError) a q that is not a prime power or an f below 1,
-    and (GuardError) a modulus N = q^f - 1 of more than MODULUS_BITS_CAP
-    bits.  Both must be ints and not bools: floats equal to integers hash
-    alike, so one would otherwise share (and could fill) every memo keyed
-    on q or f."""
+    and (GuardError) a q that `is_prime_power` cannot decide or a modulus
+    N = q^f - 1 of more than MODULUS_BITS_CAP bits.  Both must be ints and
+    not bools: floats equal to integers hash alike, so one would otherwise
+    share (and could fill) every memo keyed on q or f."""
     for name, value in (("q", q), ("f", f)):
         if not is_strict_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")

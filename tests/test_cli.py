@@ -169,6 +169,17 @@ def test_lift_degree_over_the_bound_exits_3_at_once(capsys, f):
     assert "bound of 4096 bits" in err and "internal" not in err
 
 
+def test_lift_of_an_undecided_q_exits_3_at_once(capsys):
+    # q = 2^61 - 1 once ran trial division for longer than 5 s
+    start = time.perf_counter()
+    code, out, err = run(["lift", "--group", "GL2", "--q",
+                          str(2 ** 61 - 1), "--f", "1", "--w", "",
+                          "--vbar", "0,0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "up to 1048576" in err and "internal" not in err
+
+
 def test_oracle_guard_and_env_override(monkeypatch, capsys):
     argv = ["oracle", "--group", "GL5", "--q", "2", "--f", "4",
             "--w", "s2 s1 s0", "--vbar", "1,2,4,8,0"]

@@ -53,7 +53,7 @@ from tamelift.root_datum import (
     weyl_group_elements,
     weyl_identity,
 )
-from tamelift.tame_reps import MODULUS_BITS_CAP, make_pair
+from tamelift.tame_reps import MODULUS_BITS_CAP, PRIME_TRIAL_BOUND, make_pair
 
 GL2 = build_root_datum("GL2")
 GL3 = build_root_datum("GL3")
@@ -159,6 +159,14 @@ def test_tuple_and_exactness_check_bound_the_modulus(q, f):
         CrysCharTuple(datum=GL2, q=q, f=f, slots=((0, 0),) * f)
     with pytest.raises(GuardError, match=f"bound of {MODULUS_BITS_CAP}"):
         simple_trick_check(GL2, q, f, weyl_identity(GL2), method="snf")
+
+
+def test_tuple_and_exactness_check_refuse_an_undecided_q():
+    q = 2 ** 61 - 1  # prime, with no factor up to PRIME_TRIAL_BOUND
+    with pytest.raises(GuardError, match=f"up to {PRIME_TRIAL_BOUND}"):
+        CrysCharTuple(datum=GL2, q=q, f=1, slots=((0, 0),))
+    with pytest.raises(GuardError, match=f"up to {PRIME_TRIAL_BOUND}"):
+        simple_trick_check(GL2, q, 1, weyl_identity(GL2), method="snf")
 
 
 def test_reduction_examples():

@@ -14,7 +14,12 @@ from math import gcd
 from fraction_reference import rational_inverse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from smith_reference import integer_kernel_basis as reference_kernel_basis
+from smith_reference import smith_normal_form as reference_smith_form
 
+from tamelift import lattice
+from tamelift.acceptance import _lift_sweep
+from tamelift.crystalline_lift import _lift_plan, _q_minus_w
 from tamelift.lattice import (
     det,
     hnf_rows,
@@ -22,10 +27,16 @@ from tamelift.lattice import (
     ModSolver,
     integer_kernel_basis,
     mat_mul,
+    mat_sub,
     mat_vec,
     matrix_order,
     smith_normal_form,
     solve_int_smith,
+)
+from tamelift.root_datum import (
+    build_root_datum,
+    root_functionals,
+    weyl_group_elements,
 )
 
 
@@ -215,6 +226,71 @@ def test_hnf_canonical_under_row_shuffle():
         assert hnf_rows(h1) == h1
         for row in rows:
             assert in_lattice(h1, row)
+
+
+@st.composite
+def wide_integer_matrices(draw):
+    """(a, n): m x n matrices with 0 <= m, n <= 6, entries up to 10^30 in
+    absolute value, small ones mixed in so that divisibility is common;
+    for m = 0, a is () and n is passed on its own."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+    row = st.tuples(*[entry] * n)
+    return tuple(draw(st.lists(row, min_size=m, max_size=m))), n
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(case=((), 0))
+@example(case=((), 4))
+@example(case=(((), (), ()), 0))
+@given(wide_integer_matrices())
+def test_normal_forms_match_the_side_matrix_reference(case):
+    # the one-matrix reductions perform the reference's operations, so
+    # (d, u, v) and the (unique) Hermite kernel basis agree exactly
+    a, n = case
+    assert smith_normal_form(a) == reference_smith_form(a)
+    assert integer_kernel_basis(a, n) == reference_kernel_basis(a, n)
+
+
+# presets whose every w - 1 is compared: the irreducibility sweeps'
+# and a few more of ranks 4 and 5
+KERNEL_PRESETS = ("GL2", "GL3", "GL4", "GL5", "SL4", "Sp4", "Sp6", "SO7",
+                  "G2")
+
+
+def test_normal_forms_match_the_reference_on_the_package_matrices():
+    # every Smith form of the lift plans (xi_bar and q - w of each
+    # lift-sweep configuration) and every fixed-space and central-space
+    # kernel of KERNEL_PRESETS
+    plan_matrices = []
+    for _, datum, q, f, w in _lift_sweep():
+        plan_matrices += [_lift_plan(datum, w.matrix, q, f).xi_bar,
+                          _q_minus_w(w.matrix, q)]
+    assert len(plan_matrices) == 312
+    for a in plan_matrices:
+        assert smith_normal_form(a) == reference_smith_form(a)
+    kernels = 0
+    for name in KERNEL_PRESETS:
+        datum = build_root_datum(name)
+        ident = identity_matrix(datum.rank)
+        matrices = [mat_sub(w.matrix, ident)
+                    for w in weyl_group_elements(datum)]
+        for a in matrices + [root_functionals(datum)]:
+            assert (integer_kernel_basis(a, datum.rank)
+                    == reference_kernel_basis(a, datum.rank))
+            kernels += 1
+    assert kernels == 301
+
+
+def test_kernel_basis_takes_no_smith_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "smith_normal_form", calls.append)
+    rng = random.Random(107)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, rng.randint(1, 4), n, bound=6)
+        assert integer_kernel_basis(a, n) == reference_kernel_basis(a, n)
+    assert calls == []
 
 
 def test_solve_mod_against_brute_force():

@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tamelift
 
@@ -18,6 +23,24 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--only", "2,5"],
+    ["lift", "--group", "GL2", "--q", "3", "--f", "2", "--w", "s0",
+     "--vbar", "1,3"],
+], ids=["selftest", "lift"])
+def test_optimized_run_prints_the_same(argv):
+    # the static scan above covers assert statements only; this runs the
+    # package under -O and compares stdout and exit code byte for byte
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "tamelift", *argv],
+                       env=env, capture_output=True, timeout=120)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0 and plain.stdout
+    assert ((optimized.returncode, optimized.stdout)
+            == (plain.returncode, plain.stdout))
 
 
 def test_no_fractions_imports_in_package():

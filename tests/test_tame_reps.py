@@ -54,6 +54,7 @@ from tamelift.root_datum import (
 from tamelift.tame_reps import (
     MODULUS_BITS_CAP,
     ORACLE_WEYL_CAP,
+    PRIME_TRIAL_BOUND,
     TameInertialPair,
     _stable_proper_parabolics,
     _standard_parabolic_cochars,
@@ -91,6 +92,41 @@ def test_is_prime_power():
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
     assert not is_prime_power(0)
     assert not is_prime_power(-8)
+
+
+def trial_division_is_prime_power(q):
+    # trial division with no bound, as is_prime_power once ran it
+    if q < 2:
+        return False
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        p = q
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_is_prime_power_matches_plain_trial_division():
+    assert all(is_prime_power(q) == trial_division_is_prime_power(q)
+               for q in range(-3, 10 ** 5))
+
+
+def test_undecided_q_is_refused():
+    # decided: small factors (2^67 and 3^41 are used in Tier-1), a prime
+    # square just inside the bound, and the largest prime below
+    # PRIME_TRIAL_BOUND^2 = 2^40
+    for q in (2 ** 67, 3 ** 41, 999983 ** 2, 2 ** 40 - 87):
+        assert is_prime_power(q)
+    assert not is_prime_power(2 ** 40 - 1)
+    # not decided: the primes 2^40 + 15 and 2^61 - 1; the second once ran
+    # trial division up to 2^30.5 before any guard
+    for q in (2 ** 40 + 15, 2 ** 61 - 1):
+        with pytest.raises(GuardError, match=f"up to {PRIME_TRIAL_BOUND}"):
+            make_pair(GL2, q, 1, (0, 0), SWAP)
+        with pytest.raises(GuardError, match=f"up to {PRIME_TRIAL_BOUND}"):
+            TameInertialPair(q=q, f=1, vbar=(0, 0), w=SWAP)
 
 
 def test_pair_constructor_guards():
