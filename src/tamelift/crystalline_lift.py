@@ -76,13 +76,27 @@ class CrysCharTuple:
             raise ValueError(f"slot entries must be integers, got {slots!r}")
         object.__setattr__(self, "slots", slots)
 
+    @classmethod
+    def _from_plan(cls, datum: RootDatum, q: int, f: int,
+                   slots: tuple[Vec, ...]) -> CrysCharTuple:
+        """The tuple with these fields, set without the checks of
+        `__post_init__`.  For `_checked_lift` only: its q and f come from a
+        validated pair, and its slots are f tuples of `rank` ints, products
+        of a lift plan's integer matrices and an integer seed."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "datum", datum)
+        object.__setattr__(v, "q", q)
+        object.__setattr__(v, "f", f)
+        object.__setattr__(v, "slots", slots)
+        return v
+
     @property
     def modulus(self) -> int:
         return self.q ** self.f - 1
 
 
 def make_crys_tuple(datum: RootDatum, q: int, slots) -> CrysCharTuple:
-    slots = tuple(tuple(s) for s in slots)
+    slots = tuple(slots)
     return CrysCharTuple(datum=datum, q=q, f=len(slots), slots=slots)
 
 
@@ -151,8 +165,8 @@ def reduction(v: CrysCharTuple) -> Vec:
 
 def kernel_membership(w: WeylElement, v: CrysCharTuple) -> bool:
     """True iff w . slot_j equals slot_{j-1 mod f} for every j, exactly."""
-    f = v.f
-    return all(w.apply(v.slots[j]) == v.slots[(j - 1) % f] for j in range(f))
+    slots = v.slots
+    return list(map(w.apply, slots)) == [slots[-1], *slots[:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +272,11 @@ def _checked_lift(datum: RootDatum, p: TameInertialPair,
                   **fields) -> LiftResult:
     """The tuple with the given slots, re-verified: raises
     InternalConsistencyError unless it satisfies the kernel condition and
-    reduces to vbar.  Returns it as `result`, with any further `fields`;
-    `regular` records whether every slot is regular."""
-    v = CrysCharTuple(datum=datum, q=p.q, f=p.f, slots=slots)
+    reduces to vbar.  The slots must be `_LiftPlan.slots` products, so the
+    tuple is built without re-checking its entries.  Returns it as
+    `result`, with any further `fields`; `regular` records whether every
+    slot is regular."""
+    v = CrysCharTuple._from_plan(datum, p.q, p.f, slots)
     if not (kernel_membership(p.w, v) and reduction(v) == p.vbar):
         raise InternalConsistencyError(f"{what} failed re-verification")
     return result(

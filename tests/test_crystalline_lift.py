@@ -31,19 +31,24 @@ from tamelift.crystalline_lift import (
     weyl_act,
     xi_operator,
 )
+from tamelift.cli import main
 from tamelift.errors import (
     GuardError,
+    InternalConsistencyError,
     InvalidPairError,
     LiftHypothesisError,
 )
+from tamelift.hodge_tate import regular_lift
 from tamelift.lattice import (
     ModSolver,
     identity_matrix,
+    is_strict_int,
     mat_add,
     mat_pow,
     mat_scale,
     mat_vec,
     smith_normal_form,
+    vec_add,
     vec_mod,
     vec_scale,
 )
@@ -206,6 +211,41 @@ def test_kernel_membership_examples():
     assert kernel_membership(SWAP, make_crys_tuple(GL2, 3, [(0, 0), (0, 0)]))
 
 
+def per_slot_kernel_membership(w, v):
+    # kernel_membership as it was, one slot at a time
+    f = v.f
+    return all(w.apply(v.slots[j]) == v.slots[(j - 1) % f] for j in range(f))
+
+
+@st.composite
+def kernel_cases(draw):
+    # a random tuple is almost never in the kernel; xi of one always is
+    # when w^f = 1, and changing one entry of that takes it out again
+    datum = LIFT_DATA[draw(st.sampled_from(LIFT_PRESETS))]
+    f = draw(st.integers(1, 4))
+    slot = st.tuples(*[st.integers(-50, 50)] * datum.rank)
+    v = make_crys_tuple(datum, 3, draw(st.lists(slot, min_size=f, max_size=f)))
+    mode = draw(st.sampled_from(["random", "kernel", "perturbed"]))
+    if mode == "random":
+        return draw(st.sampled_from(weyl_group_elements(datum))), v
+    w = draw(st.sampled_from(elements_of_order_dividing(datum, f)))
+    v = xi_operator(w, v)
+    if mode == "perturbed":
+        j = draw(st.integers(0, f - 1))
+        i = draw(st.integers(0, datum.rank - 1))
+        slots = [list(s) for s in v.slots]
+        slots[j][i] += draw(st.integers(1, 5))
+        v = make_crys_tuple(datum, 3, slots)
+    return w, v
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(kernel_cases())
+def test_kernel_membership_matches_the_per_slot_form(case):
+    w, v = case
+    assert kernel_membership(w, v) == per_slot_kernel_membership(w, v)
+
+
 def test_lift_inertia_worked_example():
     result = lift_inertia(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
     assert result.tuple.slots == ((1, 0), (0, 1))
@@ -253,6 +293,88 @@ def test_lift_soundness_sweep():
                         result = lift_inertia(datum, p)
                         assert kernel_membership(w, result.tuple)
                         assert reduction(result.tuple) == p.vbar
+
+
+PLAN_SLOTS = crystalline_lift._LiftPlan.slots  # the plan's own lift
+
+
+def test_re_verification_catches_a_broken_kernel_condition(monkeypatch,
+                                                          capsys):
+    # slot 0 is weighted by q^0 = 1, so adding N to it keeps the reduction
+    corrupted = []
+
+    def corrupt(plan, x):
+        first, *rest = PLAN_SLOTS(plan, x)
+        corrupted.append(((first[0] + plan.modulus, *first[1:]), *rest))
+        return corrupted[-1]
+
+    monkeypatch.setattr(crystalline_lift._LiftPlan, "slots", corrupt)
+    pair = make_pair(GL2, 3, 2, (1, 3), SWAP)
+    with pytest.raises(InternalConsistencyError,
+                       match="^constructed lift failed re-verification$"):
+        lift_inertia(GL2, pair)
+    v = make_crys_tuple(GL2, 3, corrupted[0])
+    assert reduction(v) == pair.vbar and not kernel_membership(SWAP, v)
+    with pytest.raises(InternalConsistencyError,
+                       match="^regularized lift failed re-verification$"):
+        regular_lift(GL2, pair)
+    capsys.readouterr()
+    assert main(["lift", "--group", "GL2", "--q", "3", "--f", "2",
+                 "--w", "s0", "--vbar", "1,3"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: constructed lift failed re-verification\n")
+
+
+def test_re_verification_catches_a_broken_reduction(monkeypatch):
+    # the lift of x + e_1 satisfies the kernel condition but reduces to
+    # vbar + xi_bar . e_1 = vbar + (3, 1)
+    corrupted = []
+
+    def corrupt(plan, x):
+        corrupted.append(PLAN_SLOTS(plan, vec_add(x, (1, 0))))
+        return corrupted[-1]
+
+    monkeypatch.setattr(crystalline_lift._LiftPlan, "slots", corrupt)
+    pair = make_pair(GL2, 3, 2, (1, 3), SWAP)
+    with pytest.raises(InternalConsistencyError,
+                       match="^constructed lift failed re-verification$"):
+        lift_inertia(GL2, pair)
+    v = make_crys_tuple(GL2, 3, corrupted[0])
+    assert kernel_membership(SWAP, v) and reduction(v) == (4, 4)
+    with pytest.raises(InternalConsistencyError,
+                       match="^regularized lift failed re-verification$"):
+        regular_lift(GL2, pair)
+
+
+def test_re_verification_catches_an_irregular_slot(monkeypatch):
+    # all-zero slots lift vbar = 0, so only the regularity check can fail
+    monkeypatch.setattr(crystalline_lift._LiftPlan, "slots",
+                        lambda plan, x: ((0, 0), (0, 0)))
+    pair = make_pair(GL2, 3, 2, (0, 0), SWAP)
+    out = lift_inertia(GL2, pair)
+    assert out.kernel_checked and out.reduction_checked and not out.regular
+    with pytest.raises(InternalConsistencyError,
+                       match="^regularized lift failed re-verification$"):
+        regular_lift(GL2, pair)
+
+
+def test_plan_built_tuples_equal_public_ones():
+    # one random pair per lift-sweep configuration; both lifts build their
+    # tuple without the entry checks, and must not differ from a public one
+    rng = random.Random(29)
+    for _, datum, q, f, w in _lift_sweep():
+        plan = _lift_plan(datum, w.matrix, q, f)
+        x = tuple(rng.randrange(plan.modulus) for _ in range(datum.rank))
+        pair = make_pair(datum, q, f, mat_vec(plan.xi_bar, x), w)
+        for out in (lift_inertia(datum, pair), regular_lift(datum, pair)):
+            v = out.tuple
+            public = CrysCharTuple(datum=datum, q=q, f=f, slots=v.slots)
+            assert v == public and hash(v) == hash(public)
+            assert repr(v) == repr(public)
+            assert type(v.slots) is tuple and len(v.slots) == f
+            for s in v.slots:
+                assert type(s) is tuple and len(s) == datum.rank
+                assert all(map(is_strict_int, s))
 
 
 def test_simple_trick_examples():

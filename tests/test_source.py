@@ -95,3 +95,28 @@ def test_integer_kernels_sum_no_generator_expressions():
                  and any(isinstance(arg, ast.GeneratorExp)
                          for arg in node.args)]
     assert offenders == []
+
+
+def _references(tree, name):
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "attr", None) == name
+            or getattr(node, "id", None) == name
+            or (isinstance(node, ast.Constant) and node.value == name)]
+
+
+def test_plan_tuple_constructor_is_called_only_by_checked_lift():
+    # CrysCharTuple._from_plan skips the entry checks of __post_init__;
+    # _checked_lift re-verifies every tuple it builds, so no public entry
+    # point may reach the constructor any other way
+    references = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if found := _references(tree, "_from_plan"):
+            references[path.name] = found
+    lift_tree = ast.parse((PACKAGE_DIR / "crystalline_lift.py").read_text())
+    [checked_lift] = [node for node in ast.walk(lift_tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_checked_lift"]
+    inside = _references(checked_lift, "_from_plan")
+    assert len(inside) == 1
+    assert references == {"crystalline_lift.py": inside}
