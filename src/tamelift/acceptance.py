@@ -124,7 +124,7 @@ def _lift_cases(seed: int):
     (q - w) mod N."""
     rng = random.Random(seed)
     for preset, datum, q, f, w in _lift_sweep():
-        plan = _lift_plan(datum, w.matrix, q, f)
+        plan = _lift_plan(datum, w, q, f)
         for _ in range(LIFT_SAMPLES):
             x = tuple(rng.randrange(plan.modulus) for _ in range(datum.rank))
             yield preset, datum, make_pair(datum, q, f,

@@ -47,10 +47,9 @@ from .root_datum import (
 )
 from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 
-# bounds on N^ceil(r/2): about the exhaustive count's steps, and the most
-# entries one of its tables can hold (about 50 MB of tables at the hard cap)
+# bound on N^ceil(r/2): about the exhaustive count's steps, and the most
+# entries one of its tables can hold (about 50 MB of tables at the cap)
 EXHAUSTIVE_CAP = 2 * 10 ** 5
-EXHAUSTIVE_AUTO_CAP = 2 * 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -209,10 +208,12 @@ class _LiftPlan:
 
 
 @per_datum
-def _lift_plan(datum: RootDatum, w_matrix: Mat, q: int, f: int) -> _LiftPlan:
+def _lift_plan(datum: RootDatum, w: WeylElement, q: int, f: int) -> _LiftPlan:
     """Built on the first lift of a configuration; raises, and so caches
-    nothing, unless w lies in W and w^f is the identity."""
-    require_in_weyl_group(datum, WeylElement(matrix=w_matrix))
+    nothing, unless w lies in W and w^f is the identity.  The memo keys
+    on w's matrix alone: a WeylElement hashes and compares as it."""
+    require_in_weyl_group(datum, w)
+    w_matrix = w.matrix
     ident = identity_matrix(datum.rank)
     powers = [ident]
     for _ in range(f):
@@ -254,7 +255,7 @@ def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
     checked w^f = 1: (q - w) . xi_bar = q^f - w^f = N, so the image of
     xi_bar mod N lies in the kernel of q - w."""
     try:
-        plan = _lift_plan(datum, p.w.matrix, p.q, p.f)
+        plan = _lift_plan(datum, p.w, p.q, p.f)
     except Exception:
         _require_valid(datum, p)
         raise
@@ -303,7 +304,7 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
 # exactness check
 
 def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
-                       method: str = "auto") -> bool:
+                       method: str = "snf") -> bool:
     """Verify that the kernel of (q - w) on (Z/N)^r equals the image of the
     averaged scale matrix.
 
@@ -313,27 +314,23 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     Methods: "exhaustive" counts both kernels over all N^r vectors without
     the Smith form, meeting in the middle: the residues of one half of the
     coordinates are tabulated and those of the other half looked up, about
-    N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf" counts
-    them through Smith normal form; "auto" picks exhaustive when
-    N^ceil(r/2) is at most EXHAUSTIVE_AUTO_CAP, snf otherwise.  q and f
-    are checked as a pair's are (ValueError, or GuardError for too large
-    an N).  The averaged matrix and the Smith-form kernel counts of it and
-    of q - w come from the configuration's lift plan, which raises
-    ValueError unless w lies in W and LiftHypothesisError unless w^f is the
-    identity.
+    N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf", the
+    default, counts them through Smith normal form.  Both are exact, so
+    they return the same bool.  q and f are checked as a pair's are
+    (ValueError, or GuardError for too large an N).  The averaged matrix
+    and the Smith-form kernel counts of it and of q - w come from the
+    configuration's lift plan, which raises ValueError unless w lies in W
+    and LiftHypothesisError unless w^f is the identity.
     """
-    if method not in ("auto", "exhaustive", "snf"):
+    if method not in ("exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
     _require_q_f(q, f)
-    plan = _lift_plan(datum, w.matrix, q, f)
+    plan = _lift_plan(datum, w, q, f)
     rank, n = datum.rank, plan.modulus
     if n == 1:
         return True
-    larger_half = (rank + 1) // 2
-    if method == "auto":
-        method = ("exhaustive" if n ** larger_half <= EXHAUSTIVE_AUTO_CAP
-                  else "snf")
     if method == "exhaustive":
+        larger_half = (rank + 1) // 2
         if n ** larger_half > EXHAUSTIVE_CAP:
             raise GuardError(
                 f"exhaustive exactness check out of range: {n}^{larger_half} "

@@ -122,31 +122,6 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return result
 
 
-def det(a: Mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def matrix_order(a: Mat, cap: int = 100000) -> int:
     """Smallest k >= 1 with a^k = identity."""
     ident = identity_matrix(len(a))
@@ -243,7 +218,9 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
 def hnf_rows(rows) -> Mat:
     """Canonical (row Hermite form) basis of the lattice spanned by the rows:
     pivots positive and strictly to the right as you go down, entries above a
-    pivot reduced into [0, pivot)."""
+    pivot reduced into [0, pivot).  The number of its rows is the rank of
+    the given rows, and an r x r integer matrix is invertible over Z exactly
+    when its form is the r x r identity."""
     work = [list(r) for r in rows if any(r)]
     if not work:
         return ()
@@ -274,15 +251,14 @@ def hnf_rows(rows) -> Mat:
     return tuple(tuple(row) for row in work[:r])
 
 
-def integer_kernel_basis(a: Mat, n: int | None = None) -> Mat:
-    """Canonical basis of {x in Z^n : a x = 0}; this kernel is saturated.
+def integer_kernel_basis(a: Mat, n: int) -> Mat:
+    """Canonical basis of {x in Z^n : a x = 0}, for a with n columns (n is
+    passed, so a may have no rows); this kernel is saturated.
 
     Row operations take [a^T | 1_n] to its Hermite form [h | t] with t
     unimodular and h = t a^T, so the rows of t where h is zero are a basis
     of the kernel, and already in Hermite form."""
     m = len(a)
-    if n is None:
-        n = len(a[0]) if m else 0
     rows = hnf_rows(tuple(row[j] for row in a)
                     + tuple(int(i == j) for i in range(n)) for j in range(n))
     return tuple(row[m:] for row in rows if not any(row[:m]))

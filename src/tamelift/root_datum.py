@@ -24,8 +24,8 @@ from .lattice import (
     Vec,
     as_rows,
     as_tuple,
-    det,
     dot,
+    hnf_rows,
     identity_matrix,
     integer_kernel_basis,
     is_strict_int,
@@ -95,9 +95,10 @@ def per_datum(fn):
 class WeylElement:
     """Integer matrix acting on the cocharacter lattice, with an optional
     word in simple reflections recording how it was built.  A matrix that
-    is not square, has an entry that is not an int (or is a bool), or has
-    determinant other than +-1 is rejected with ValueError;
-    `weyl_from_matrix` also checks that the matrix lies in W."""
+    is not square, has an entry that is not an int (or is a bool), or is
+    not invertible over Z (its Hermite form is not the identity) is
+    rejected with ValueError; `weyl_from_matrix` also checks that the
+    matrix lies in W."""
 
     matrix: Mat
     word: tuple[int, ...] | None = None
@@ -110,7 +111,7 @@ class WeylElement:
             raise ValueError("Weyl matrix must be square")
         if any(not is_strict_int(x) for row in matrix for x in row):
             raise ValueError("Weyl matrix entries must be integers")
-        if det(matrix) not in (1, -1):
+        if hnf_rows(matrix) != identity_matrix(len(matrix)):
             raise ValueError("Weyl matrix is not invertible over Z")
         object.__setattr__(self, "matrix", matrix)
 
@@ -248,7 +249,7 @@ def _check_axioms(datum: RootDatum) -> None:
     def bad(invariant, msg):
         raise DatumValidationError(invariant, msg)
 
-    if det(datum.pairing) == 0:
+    if len(hnf_rows(datum.pairing)) != datum.rank:
         bad("pairing-nondegenerate", "pairing matrix is singular over Q")
 
     # the checks read the datum's own tables, so a datum that passes has

@@ -20,12 +20,13 @@ from .lattice import (
     Mat,
     Vec,
     as_tuple,
-    det,
     dot,
     hnf_rows,
     identity_matrix,
     is_strict_int,
     mat_pow,
+    smith_normal_form,
+    solve_int_smith,
     vec_mod,
     vec_scale,
 )
@@ -311,24 +312,28 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     The last one keeps every simple root, so it is regular.
 
     mu solves rows . mu = keep (rows: the simple-root functionals) with
-    mu zero off the pivot columns of the rows' echelon form, where the rank
+    mu zero off the pivot columns of the rows' Hermite form, where the rank
     of the column prefix grows; on those columns the system is square and
-    nonsingular, because the simple roots are independent.  Cramer's rule
-    gives the solution y / D, and mu is its least positive integral
-    multiple."""
+    nonsingular, because the simple roots are independent.  Its Smith form
+    has last diagonal entry t > 0, which every other one divides, so the
+    solve of square . y = t . keep is integral: y is t times the rational
+    solution, and mu is that solution's least positive integral multiple
+    y / gcd(t, y)."""
     functionals = root_functionals(datum)
     rows = [functionals[i] for i in datum.simple_roots]
+    if not rows:
+        return ()
     pivots = [next(c for c, x in enumerate(row) if x)
               for row in hnf_rows(rows)]
-    square = [[row[c] for c in pivots] for row in rows]
-    d = det(square)
+    snf = smith_normal_form(tuple(tuple(row[c] for c in pivots)
+                                  for row in rows))
+    top = snf[0][-1][-1]
     out = []
     for keep in itertools.product((0, 1), repeat=len(rows)):
         if not any(keep):
             continue  # every simple pairs to zero: the whole group, not proper
-        y = [det([r[:i] + [k] + r[i + 1:] for r, k in zip(square, keep)])
-             for i in range(len(pivots))]
-        g = gcd(d, *y) if d > 0 else -gcd(d, *y)
+        y = solve_int_smith(snf, vec_scale(top, keep))
+        g = gcd(top, *y)
         mu = [0] * datum.rank
         for c, yi in zip(pivots, y):
             mu[c] = yi // g
@@ -401,7 +406,7 @@ def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
     # nonnegative roots onto themselves (normalizer_element_in_parabolic);
     # the permutation is a bijection, so exactly when the permuted
     # indicator tuple is the indicator tuple
-    perm = root_permutation(datum, WeylElement(matrix=w_matrix))
+    perm = _root_permutation_cached(datum, w_matrix)
     table = _torus_parabolics(datum, limit)
     if not table:
         return table  # no roots, so no proper parabolic

@@ -416,6 +416,34 @@ def test_selftest_report_of_failures(capsys, monkeypatch):
     assert err == "criterion 3: 1.5s\n"
 
 
+GL4_PAIR = ["--group", "GL4", "--q", "3", "--f", "2", "--w", "s1 s0 s2 s1",
+            "--vbar", "1,2,3,6"]
+VALIDATE_KEYS = {"valid", "modulus", "failures", "niveau",
+                 "niveau_power_is_identity", "degree_power_is_identity"}
+IRREDUCIBLE_KEYS = {"irreducible", "failing_root", "fixed_cochar"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["validate", *GL2_PAIR], VALIDATE_KEYS),
+    (["validate", *GL2_PAIR[:-1], "1,5"], VALIDATE_KEYS),
+    (["irreducible", *GL2_PAIR], IRREDUCIBLE_KEYS),
+    (["irreducible", *GL2_PAIR[:-1], "4,4"], IRREDUCIBLE_KEYS),
+    (["oracle", *GL4_PAIR], {"count", "parabolics"}),
+    (["fixtures"], {"passed", "fixtures"}),
+    (["regular-lift", *GL2_PAIR[:-1], "0,0"],
+     {"slots", "q", "f", "checks", "reduction", "seed_multiplier"}),
+], ids=["validate", "validate-invalid", "irreducible", "irreducible-not",
+        "oracle", "fixtures", "regular-lift"])
+def test_json_output_has_its_keys_and_the_table_exit_code(capsys, argv,
+                                                          keys):
+    table_code, _, _ = run(argv, capsys)
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == table_code
+    payload = json.loads(out)
+    assert set(payload) == keys
+    assert out == canonical_json(payload)
+
+
 def test_selftest_json(capsys):
     code, out, _ = run(["selftest", "--only", "5", "--format", "json"],
                        capsys)

@@ -363,7 +363,7 @@ def test_plan_built_tuples_equal_public_ones():
     # tuple without the entry checks, and must not differ from a public one
     rng = random.Random(29)
     for _, datum, q, f, w in _lift_sweep():
-        plan = _lift_plan(datum, w.matrix, q, f)
+        plan = _lift_plan(datum, w, q, f)
         x = tuple(rng.randrange(plan.modulus) for _ in range(datum.rank))
         pair = make_pair(datum, q, f, mat_vec(plan.xi_bar, x), w)
         for out in (lift_inertia(datum, pair), regular_lift(datum, pair)):
@@ -416,8 +416,10 @@ def test_simple_trick_guard_and_method_errors():
     assert simple_trick_check(gl4, 3, 6, weyl_identity(gl4), method="snf")
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(GL3, 3, 2, weyl_from_word(GL3, [0, 1]))
-    # "sample" is gone: a sampled inclusion check cannot certify equality
-    for method in ("guess", "sample"):
+    # "sample" is gone: a sampled inclusion check cannot certify equality;
+    # so is "auto": both exact methods give the same bool, and "snf" is
+    # the default
+    for method in ("guess", "sample", "auto"):
         with pytest.raises(ValueError):
             simple_trick_check(GL2, 3, 2, SWAP, method=method)
 
@@ -471,7 +473,7 @@ def test_halves_count_on_every_lift_sweep_matrix():
     # Smith form everywhere and against the odometer where N^r <= 20000
     odometer_checked = 0
     for _, datum, q, f, w in _lift_sweep():
-        plan = _lift_plan(datum, w.matrix, q, f)
+        plan = _lift_plan(datum, w, q, f)
         n = plan.modulus
         ker_mat = mat_add(mat_scale(q, identity_matrix(datum.rank)),
                           mat_scale(-1, w.matrix))
@@ -513,7 +515,7 @@ def test_simple_trick_check_shares_the_lift_plan(monkeypatch):
     # the plan holds the Smith forms' results: that of xi_bar, and the
     # kernel count of q - w
     assert len(smith_forms) == 2
-    for method in ("auto", "exhaustive", "snf", "snf"):
+    for method in ("exhaustive", "snf", "snf"):
         assert simple_trick_check(sp4, 3, 4, w, method=method)
     assert _plan_keys(sp4) == keys and len(builds) == 1
     assert len(smith_forms) == 2

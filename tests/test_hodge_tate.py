@@ -65,6 +65,7 @@ from tamelift.lattice import (
 from tamelift.root_datum import (
     WeylElement,
     build_root_datum,
+    make_root_datum,
     root_pairings,
     weyl_from_word,
     weyl_group_elements,
@@ -126,6 +127,17 @@ def test_canonical_regular_cochar_presets():
         datum = build_root_datum(name)
         assert canonical_regular_cochar(datum) == cochar, name
         assert is_ht_regular(datum, HTType(f=1, cochars=(cochar,)))
+
+
+def test_canonical_regular_cochar_falls_back_when_the_staircase_fails():
+    # the root (1, -2, 1) pairs to zero with every staircase (2+k, 1+k, k);
+    # the fallback (1, t, t^2) pairs to (t - 1)^2, nonzero from t = 2
+    datum = make_root_datum(3, [(1, -2, 1), (-1, 2, -1)],
+                            [(0, -1, 0), (0, 1, 0)], identity_matrix(3), [0])
+    assert canonical_regular_cochar(datum) == (1, 2, 4)
+    result = regular_lift(datum, make_pair(datum, 3, 1, (1, 0, 1),
+                                           weyl_identity(datum)))
+    assert result.regular and result.seed_multiplier == 0
 
 
 def test_regular_lift_already_regular():
@@ -293,7 +305,7 @@ def test_lifts_reuse_one_plan_per_configuration(monkeypatch):
     again = make_pair(gl3, 5, 3, (31, 31, 31), weyl_from_word(gl3, "s0 s1"))
     lift_inertia(gl3, again)
     regular_lift(gl3, again)
-    assert len(builds) == 1 and _plan_keys(gl3) == [(p.w.matrix, 5, 3)]
+    assert len(builds) == 1 and _plan_keys(gl3) == [(p.w, 5, 3)]
     searched = len(searches)
     assert searched
     # a second configuration gets its own plan but not a second seed search
@@ -322,7 +334,7 @@ def test_lifts_refuse_a_frobenius_outside_w():
     swap = weyl_from_word(gl2, [0])
     assert lift_inertia(gl2, make_pair(gl2, 3, 2, (1, 3), swap)).tuple.slots \
         == ((1, 0), (0, 1))
-    assert _plan_keys(gl2) == [(swap.matrix, 3, 2)]
+    assert _plan_keys(gl2) == [(swap, 3, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +408,7 @@ def test_refused_pairs_raise_what_up_front_validation_raised(monkeypatch,
         if label == "invalid, w^f = 1":
             # the configuration is liftable: its one plan is kept, as a
             # valid pair of the same configuration would keep it
-            assert _plan_keys(datum) == before + [(p.w.matrix, p.q, p.f)]
+            assert _plan_keys(datum) == before + [(p.w, p.q, p.f)]
         else:
             assert _plan_keys(datum) == before, label
     gl2 = build_root_datum("GL2")
@@ -457,7 +469,7 @@ def test_every_slot_forbids_what_the_seed_forbids_property(case, data):
     # values.  The solved x and an integer x of any size (whose pairings
     # can forbid C > 0) are both checked.
     datum, p = case
-    plan = crystalline_lift._lift_plan(datum, p.w.matrix, p.q, p.f)
+    plan = crystalline_lift._lift_plan(datum, p.w, p.q, p.f)
     s, n = canonical_regular_cochar(datum), plan.modulus
     solved = plan.xi_solver.solve(p.vbar)
     wide = data.draw(st.tuples(*[st.integers(-4 * n, 4 * n)] * datum.rank))

@@ -21,7 +21,6 @@ from tamelift import lattice
 from tamelift.acceptance import _lift_sweep
 from tamelift.crystalline_lift import _lift_plan, _q_minus_w
 from tamelift.lattice import (
-    det,
     hnf_rows,
     identity_matrix,
     ModSolver,
@@ -103,8 +102,8 @@ def test_snf_reconstruction_and_shape():
         a = random_matrix(rng, m, n)
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+        assert abs(frac_det(u)) == 1
+        assert abs(frac_det(v)) == 1
         diag = [d[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -127,7 +126,7 @@ def small_integer_matrices(draw):
 
 
 def gcd_of_minors(a, k):
-    return gcd(*(det(tuple(tuple(a[i][j] for j in cols) for i in rows))
+    return gcd(*(int(frac_det([[a[i][j] for j in cols] for i in rows]))
                  for rows in combinations(range(len(a)), k)
                  for cols in combinations(range(len(a[0])), k)))
 
@@ -140,7 +139,7 @@ def test_snf_invariants_property(a):
     d, u, v = smith_normal_form(a)
     assert all(type(x) is int for mat in (d, u, v) for row in mat for x in row)
     assert mat_mul(mat_mul(u, a), v) == d
-    assert abs(det(u)) == abs(det(v)) == 1
+    assert abs(frac_det(u)) == abs(frac_det(v)) == 1
     m, n = len(a), len(a[0])
     assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     diag = [d[i][i] for i in range(min(m, n))]
@@ -175,12 +174,21 @@ def test_snf_rank_matches_rational_rank():
         assert sum(1 for x in diag if x != 0) == frac_rank(a)
 
 
-def test_det_against_fraction_oracle():
+def test_hermite_form_decides_rank_and_invertibility():
+    # the row count of the Hermite form is the rational rank, and a square
+    # matrix is invertible over Z exactly when its form is the identity;
+    # the Smith transforms u and v supply unimodular cases
     rng = random.Random(103)
+    unimodular = 0
     for _ in range(80):
         n = rng.randint(1, 5)
-        a = random_matrix(rng, n, n)
-        assert det(a) == frac_det(a)
+        a = random_matrix(rng, n, n, bound=rng.choice((1, 2, 9)))
+        for m in (a, *smith_normal_form(a)[1:]):
+            invertible = abs(frac_det(m)) == 1
+            assert (hnf_rows(m) == identity_matrix(n)) == invertible
+            assert len(hnf_rows(m)) == frac_rank(m)
+            unimodular += invertible
+    assert unimodular >= 160
 
 
 def test_kernel_basis_annihilates_and_has_right_rank():
@@ -264,7 +272,7 @@ def test_normal_forms_match_the_reference_on_the_package_matrices():
     # kernel of KERNEL_PRESETS
     plan_matrices = []
     for _, datum, q, f, w in _lift_sweep():
-        plan_matrices += [_lift_plan(datum, w.matrix, q, f).xi_bar,
+        plan_matrices += [_lift_plan(datum, w, q, f).xi_bar,
                           _q_minus_w(w.matrix, q)]
     assert len(plan_matrices) == 312
     for a in plan_matrices:
@@ -390,7 +398,7 @@ def test_rational_inverse_roundtrip():
     while done < 30:
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
-        if det(a) == 0:
+        if frac_det(a) == 0:
             continue
         inv = rational_inverse(a)
         prod = [[sum(Fraction(a[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]

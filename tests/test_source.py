@@ -61,6 +61,25 @@ def test_no_fractions_imports_in_package():
     assert offenders == []
 
 
+def test_no_determinant_in_package():
+    # the Hermite form decides invertibility and rank, and the Smith form
+    # solves; a determinant would be a third elimination beside them
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [name for alias in node.names
+                         for name in (alias.name, alias.asname)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            else:
+                continue
+            if "det" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_no_module_level_caches_in_package():
     # tables derived from a datum live in its memo (root_datum.per_datum)
     # and are freed with it; nothing is cached for the whole process, where

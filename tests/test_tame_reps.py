@@ -140,6 +140,21 @@ def test_pair_constructor_guards():
         make_pair(GL2, 3, 2, (0, 0, 0), SWAP)
 
 
+def test_make_pair_takes_a_word_list_or_string():
+    w = weyl_from_word(GL3, [0, 1])
+    by_element = make_pair(GL3, 5, 3, (1, 5, 25), w)
+    for word in ([0, 1], "s0 s1"):
+        p = make_pair(GL3, 5, 3, (1, 5, 25), word)
+        assert p == by_element and p.w.word == (0, 1)
+
+
+def test_pair_rejects_a_vbar_of_the_wrong_length_for_w():
+    # built directly, the pair skips make_pair's rank check against the
+    # datum; it still compares vbar with the size of w
+    with pytest.raises(ValueError, match="acts on rank 2"):
+        TameInertialPair(q=3, f=2, vbar=(1, 3, 0), w=SWAP)
+
+
 def test_pair_modulus_is_bounded():
     # admitted: N of exactly MODULUS_BITS_CAP bits (2^4096 - 1 and
     # 3^2584 - 1), E8's Coxeter moduli 3^30 - 1, a degree-3,000 lift and the
@@ -557,7 +572,8 @@ def test_oracle_matches_criterion_property(case):
     assert (brute_force_parabolic_oracle(datum, p) == []) == bool(verdict)
 
 
-@pytest.mark.parametrize("name", REFERENCE_PRESETS + ("sheared-GL3",))
+@pytest.mark.parametrize(
+    "name", REFERENCE_PRESETS + ("sheared-GL3", "GL8", "SO16"))
 def test_standard_cochars_match_fraction_reference(name):
     # the rational solve of rows . mu = keep, free variables 0, scaled by
     # the least common denominator
