@@ -7,7 +7,6 @@ no floating point anywhere.
 """
 from __future__ import annotations
 
-from .acceptance import CriterionResult, run_all, run_selected
 from .crystalline_lift import (
     CrysCharTuple,
     LiftResult,
@@ -42,7 +41,6 @@ from .errors import (
     MultisetDivisionError,
     TameliftError,
 )
-from .fixtures import FixtureOutcome, run_fixture_suite, write_fixture_files
 from .hodge_tate import (
     EmbeddingProfile,
     HTType,
@@ -97,6 +95,25 @@ from .tame_reps import (
 )
 
 __version__ = "0.1.0"
+
+# names of the two modules that only `selftest` and `fixtures` need, loaded
+# on first use (PEP 562), so that a command that does not run them does not
+# import them
+_LAZY = {
+    "CriterionResult": "acceptance",
+    "run_all": "acceptance",
+    "run_selected": "acceptance",
+    "FixtureOutcome": "fixtures",
+    "run_fixture_suite": "fixtures",
+    "write_fixture_files": "fixtures",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 __all__ = [
     "ChamberMismatchError",

@@ -153,7 +153,8 @@ def run_criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 def run_criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The kernel of (q - w) mod N equals the image of the averaging matrix
     for every lift-sweep configuration, counted two independent ways: over
-    all vectors (meeting in the middle) and through Smith normal form."""
+    all vectors (meeting in the middle, and for ranks above 2 one
+    prime-power part of N at a time) and through Smith normal form."""
     del seed  # the sweep is already exhaustive
     start = time.perf_counter()
     cases = 0

@@ -14,13 +14,10 @@ any other unexpected error occurred (one `error:` line, no traceback unless
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
-import traceback
 
-from .acceptance import DEFAULT_SEED, run_all, run_selected
 from .crystalline_lift import lift_inertia, lift_to_dict, reduction
 from .dynamic import parabolic_to_dict
 from .errors import (
@@ -32,7 +29,6 @@ from .errors import (
     LiftHypothesisError,
     MultisetDivisionError,
 )
-from .fixtures import run_fixture_suite
 from .hodge_tate import ht_type, is_ht_regular, regular_lift
 from .jsonio import canonical_json, load_json_file
 from .root_datum import (
@@ -314,13 +310,16 @@ def _parse_criteria(text: str):
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import DEFAULT_SEED, run_all, run_selected
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.only is not None:
         try:
-            results = run_selected(_parse_criteria(args.only), seed=args.seed)
+            results = run_selected(_parse_criteria(args.only), seed=seed)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     else:
-        results = run_all(seed=args.seed)
+        results = run_all(seed=seed)
     if args.format == "json":
         payload = {
             "passed": all(r.passed for r in results),
@@ -340,6 +339,10 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    import difflib
+
+    from .fixtures import run_fixture_suite
+
     outcomes = run_fixture_suite()
     if args.format == "json":
         _emit_json({
@@ -417,7 +420,7 @@ def _build_parser() -> _Parser:
 
     sub = subparsers.add_parser("selftest", parents=[common],
                                 help="run the verification sweeps")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    sub.add_argument("--seed", type=int,
                      help="seed for the randomized sweeps")
     sub.add_argument("--only", help="comma separated criterion numbers")
     sub.set_defaults(handler=_cmd_selftest)
@@ -458,6 +461,7 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # a bug: report it as an internal failure
         if args.verbose:
+            import traceback
             traceback.print_exc()
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

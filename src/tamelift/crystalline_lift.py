@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import (
@@ -47,8 +47,9 @@ from .root_datum import (
 )
 from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 
-# bound on N^ceil(r/2): about the exhaustive count's steps, and the most
-# entries one of its tables can hold (about 50 MB of tables at the cap)
+# bound on N^ceil(r/2): about the exhaustive count's steps mod N (it takes
+# fewer where it counts the prime-power parts of N one at a time), and the
+# most entries one of its tables can hold (about 50 MB of tables at the cap)
 EXHAUSTIVE_CAP = 2 * 10 ** 5
 
 
@@ -197,6 +198,7 @@ class _LiftPlan:
     xi_bar: Mat  # averaged_scale_matrix
     xi_solver: ModSolver  # the constants of its Smith form mod N
     slot_matrices: tuple[Mat, ...]  # M_j
+    q_minus_w: Mat  # q . 1 - w
     ker_count: int  # kernel size of q - w mod N, by its Smith form
     seed: Vec  # s
     seed_steps: Vec  # N . <alpha, s>, root by root; never 0
@@ -223,6 +225,7 @@ def _lift_plan(datum: RootDatum, w: WeylElement, q: int, f: int) -> _LiftPlan:
             f"lifting requires the Weyl element's f-th power to be the "
             f"identity (f={f})")
     xi_bar = averaged_scale_matrix(w_matrix, q, f)
+    q_minus_w = mat_sub(mat_scale(q, ident), w_matrix)
     n = q ** f - 1
     seed = canonical_regular_cochar(datum)
     return _LiftPlan(
@@ -230,15 +233,11 @@ def _lift_plan(datum: RootDatum, w: WeylElement, q: int, f: int) -> _LiftPlan:
         xi_bar=xi_bar,
         xi_solver=ModSolver(smith_normal_form(xi_bar), n),
         slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
-        ker_count=ModSolver(
-            smith_normal_form(_q_minus_w(w_matrix, q)), n).kernel_count,
+        q_minus_w=q_minus_w,
+        ker_count=ModSolver(smith_normal_form(q_minus_w), n).kernel_count,
         seed=seed,
         seed_steps=vec_scale(n, root_pairings(datum, seed)),
     )
-
-
-def _q_minus_w(w_matrix: Mat, q: int) -> Mat:
-    return mat_sub(mat_scale(q, identity_matrix(len(w_matrix))), w_matrix)
 
 
 def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
@@ -313,14 +312,17 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     the check compares sizes, so a True is a certificate of equality.
     Methods: "exhaustive" counts both kernels over all N^r vectors without
     the Smith form, meeting in the middle: the residues of one half of the
-    coordinates are tabulated and those of the other half looked up, about
-    N^ceil(r/2) steps, and a GuardError above EXHAUSTIVE_CAP; "snf", the
-    default, counts them through Smith normal form.  Both are exact, so
-    they return the same bool.  q and f are checked as a pair's are
-    (ValueError, or GuardError for too large an N).  The averaged matrix
-    and the Smith-form kernel counts of it and of q - w come from the
-    configuration's lift plan, which raises ValueError unless w lies in W
-    and LiftHypothesisError unless w^f is the identity.
+    coordinates are tabulated and those of the other half looked up.  For
+    r > 2 each prime-power part p^k of N is counted on its own and the
+    counts multiplied, about the sum of (p^k)^ceil(r/2) steps; for r <= 2,
+    about N^ceil(r/2).  It raises GuardError, before N is factored, when
+    N^ceil(r/2) exceeds EXHAUSTIVE_CAP.  "snf", the default, counts them
+    through Smith normal form.  Both are exact, so they return the same
+    bool.  q and f are checked as a pair's are (ValueError, or GuardError
+    for too large an N).  q - w, the averaged matrix and their Smith-form
+    kernel counts come from the configuration's lift plan, which raises
+    ValueError unless w lies in W and LiftHypothesisError unless w^f is
+    the identity.
     """
     if method not in ("exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
@@ -335,7 +337,7 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
             raise GuardError(
                 f"exhaustive exactness check out of range: {n}^{larger_half} "
                 f"half-vectors exceed {EXHAUSTIVE_CAP}")
-        ker_count = _count_kernel_by_halves(_q_minus_w(w.matrix, q), n)
+        ker_count = _count_kernel_by_halves(plan.q_minus_w, n)
         xi_ker_count = _count_kernel_by_halves(plan.xi_bar, n)
     else:
         ker_count = plan.ker_count
@@ -349,15 +351,48 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
 
 def _count_kernel_by_halves(mat: Mat, n: int) -> int:
     """Kernel size mod n of a square matrix, counted over all n^r vectors
-    without its Smith form: split x = (x1, x2) with |x1| = floor(r/2);
-    A x = 0 exactly when A1 x1 = -A2 x2, so tabulate the residues of A1 x1
-    with their multiplicities and look up each residue of -A2 x2.  Costs
-    about n^ceil(r/2) steps; the table has at most n^floor(r/2) entries."""
+    without its Smith form.  By the Chinese remainder theorem it is the
+    product of the kernel sizes mod the prime-power parts p^k of n; for
+    r > 2 each part is counted on its own, about the sum of
+    (p^k)^ceil(r/2) steps instead of n^ceil(r/2).  For r <= 2 the larger
+    half is one coordinate, and splitting saves less than a part's fixed
+    cost.  Factoring n takes about sqrt(n) steps, so n must be small:
+    `simple_trick_check` applies the exhaustive guard first."""
+    if len(mat) <= 2:
+        return _count_kernel_mod(mat, n)
+    return prod(_count_kernel_mod(mat, part)
+                for part in _prime_power_parts(n))
+
+
+def _prime_power_parts(n: int) -> list[int]:
+    """The prime-power parts of n >= 1, by trial division: pairwise coprime
+    prime powers whose product is n; about sqrt(n) steps."""
+    parts = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            part = 1
+            while n % p == 0:
+                n //= p
+                part *= p
+            parts.append(part)
+        p += 1
+    if n > 1:
+        parts.append(n)
+    return parts
+
+
+def _count_kernel_mod(mat: Mat, n: int) -> int:
+    """Kernel size mod n of a square matrix, meeting in the middle: split
+    x = (x1, x2) with |x1| = floor(r/2); A x = 0 exactly when A1 x1 = -A2 x2,
+    so tabulate the residues of A1 x1 with their multiplicities and look up
+    each residue of -A2 x2.  Costs about n^ceil(r/2) steps; the table has
+    at most n^floor(r/2) entries."""
     rank = len(mat)
-    cols = [tuple(row[i] % n for row in mat) for i in range(rank)]
+    cols = [tuple([x % n for x in col]) for col in zip(*mat)]
     half = rank // 2
     table = _residue_counts(cols[:half], n, rank)
-    neg = [tuple(-c % n for c in col) for col in cols[half:]]
+    neg = [tuple([-c % n for c in col]) for col in cols[half:]]
     # the larger half is streamed: all but its last column are tabulated,
     # so no table outgrows the first half's
     last = _residue_counts(neg[-1:], n, rank)
@@ -377,7 +412,7 @@ def _residue_counts(cols: list[Vec], n: int, rows: int) -> dict[Vec, int]:
     counts = {(0,) * rows: 1}
     for col in cols:
         order = n // gcd(n, *col)
-        steps = [tuple(t * c % n for c in col) for t in range(order)]
+        steps = [tuple([t * c % n for c in col]) for t in range(order)]
         grown: dict[Vec, int] = {}
         for v, m in counts.items():
             m *= n // order

@@ -114,12 +114,18 @@ class WeylElement:
         if hnf_rows(matrix) != identity_matrix(len(matrix)):
             raise ValueError("Weyl matrix is not invertible over Z")
         object.__setattr__(self, "matrix", matrix)
+        # memos key on elements: hash the matrix once, not on every lookup
+        object.__setattr__(self, "_hash", hash(matrix))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling rebuilds the element, so its hash is this process's
+        return type(self), (self.matrix, self.word)
 
     def apply(self, cochar: Vec) -> Vec:
         return mat_vec(self.matrix, cochar)

@@ -399,13 +399,15 @@ def test_selftest_subset(capsys):
 
 
 def test_selftest_report_of_failures(capsys, monkeypatch):
-    import tamelift.cli as cli
+    import tamelift.acceptance as acceptance
     from tamelift.acceptance import CriterionResult
 
     failed = CriterionResult(
         number=3, name="irreducibility criterion vs oracle", passed=False,
         cases=9, seconds=1.5, failures=tuple(f"case {k}" for k in range(5)))
-    monkeypatch.setattr(cli, "run_selected", lambda numbers, seed: (failed,))
+    # the CLI imports the acceptance module only when selftest runs
+    monkeypatch.setattr(acceptance, "run_selected",
+                        lambda numbers, seed: (failed,))
     code, out, err = run(["selftest", "--only", "3", "--verbose"], capsys)
     assert code == 2
     assert out == (
@@ -414,6 +416,28 @@ def test_selftest_report_of_failures(capsys, monkeypatch):
         "selftest: FAIL\n")
     assert out.startswith(failed.summary() + "\n")
     assert err == "criterion 3: 1.5s\n"
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["selftest"], 0), (["selftest", "--only", "3"], 0),
+    (["selftest", "--seed", "7"], 7), (["selftest", "--only", "3",
+                                        "--seed", "7"], 7),
+])
+def test_selftest_seed_defaults_to_the_acceptance_seed(argv, seed, capsys,
+                                                         monkeypatch):
+    import tamelift.acceptance as acceptance
+
+    seeds = []
+
+    def record(*args, seed):
+        seeds.append(seed)
+        return ()
+
+    monkeypatch.setattr(acceptance, "run_all", record)
+    monkeypatch.setattr(acceptance, "run_selected", record)
+    assert acceptance.DEFAULT_SEED == 0
+    code, out, _ = run(argv, capsys)
+    assert (code, out, seeds) == (0, "selftest: PASS\n", [seed])
 
 
 GL4_PAIR = ["--group", "GL4", "--q", "3", "--f", "2", "--w", "s1 s0 s2 s1",

@@ -2,6 +2,7 @@
 lift construction."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from tamelift.crystalline_lift import (
     EXHAUSTIVE_CAP,
     CrysCharTuple,
     _count_kernel_by_halves,
+    _count_kernel_mod,
     _lift_plan,
+    _prime_power_parts,
     averaged_scale_matrix,
     frobenius_shift,
     kernel_membership,
@@ -46,6 +49,7 @@ from tamelift.lattice import (
     mat_add,
     mat_pow,
     mat_scale,
+    mat_sub,
     mat_vec,
     smith_normal_form,
     vec_add,
@@ -58,7 +62,12 @@ from tamelift.root_datum import (
     weyl_group_elements,
     weyl_identity,
 )
-from tamelift.tame_reps import MODULUS_BITS_CAP, PRIME_TRIAL_BOUND, make_pair
+from tamelift.tame_reps import (
+    MODULUS_BITS_CAP,
+    PRIME_TRIAL_BOUND,
+    is_prime_power,
+    make_pair,
+)
 
 GL2 = build_root_datum("GL2")
 GL3 = build_root_datum("GL3")
@@ -486,6 +495,77 @@ def test_halves_count_on_every_lift_sweep_matrix():
     assert odometer_checked == 250
 
 
+# composite moduli with at least two prime-power parts, a repeated prime
+# among them (12 = 4 . 3, 18 = 2 . 9, 20 = 4 . 5, 24 = 8 . 3)
+SPLIT_MODULI = (6, 10, 12, 14, 15, 18, 20, 24)
+
+
+@st.composite
+def split_count_cases(draw):
+    rank = draw(st.integers(3, 4))
+    # the odometer visits all n^r vectors: keep that near 20,000
+    n = draw(st.sampled_from([m for m in SPLIT_MODULI
+                              if m ** rank <= 21000]))
+    entries = st.integers(-60, 60)
+    mat = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                        min_size=rank, max_size=rank))
+    return tuple(tuple(row) for row in mat), n
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(split_count_cases())
+def test_split_count_matches_odometer_and_smith_form(case):
+    # at r >= 3 the count multiplies the counts mod each prime-power part
+    mat, n = case
+    assert len(_prime_power_parts(n)) >= 2
+    count = _count_kernel_by_halves(mat, n)
+    assert count == count_kernel_by_odometer(mat, n)
+    assert count == ModSolver(smith_normal_form(mat), n).kernel_count
+    assert count == _count_kernel_mod(mat, n)
+
+
+def test_prime_power_parts_of_every_small_n():
+    assert _prime_power_parts(1) == []
+    assert _prime_power_parts(24) == [8, 3]
+    for n in range(1, 10 ** 4):
+        parts = _prime_power_parts(n)
+        assert math.prod(parts) == n
+        assert all(is_prime_power(part) for part in parts)
+        assert all(math.gcd(a, b) == 1
+                   for i, a in enumerate(parts) for b in parts[i + 1:])
+
+
+def test_modulus_is_factored_only_by_an_admitted_exhaustive_count(
+        monkeypatch):
+    # trial division on N = 2^127 - 1 would not finish; the guard and the
+    # plan must both leave N unfactored
+    factored = []
+
+    def spy(n):
+        factored.append(n)
+        return _prime_power_parts(n)
+
+    monkeypatch.setattr(crystalline_lift, "_prime_power_parts", spy)
+    gl3 = build_root_datum("GL3")
+    ident = weyl_identity(gl3)
+    pair = make_pair(gl3, 2, 127, (0, 0, 0), ident)
+    assert lift_inertia(gl3, pair).tuple.slots == ((0, 0, 0),) * 127
+    assert regular_lift(gl3, pair).regular
+    assert simple_trick_check(gl3, 2, 127, ident, method="snf")
+    with pytest.raises(GuardError):
+        simple_trick_check(gl3, 2, 127, ident, method="exhaustive")
+    gl4 = build_root_datum("GL4")
+    with pytest.raises(GuardError):
+        simple_trick_check(gl4, 3, 6, weyl_identity(gl4), method="exhaustive")
+    assert factored == []
+    # an admitted count at r > 2 factors N once per matrix; r <= 2 never
+    assert simple_trick_check(gl3, 5, 2, ident, method="exhaustive")
+    assert factored == [24, 24]
+    assert simple_trick_check(GL2, 5, 2, weyl_identity(GL2),
+                              method="exhaustive")
+    assert factored == [24, 24]
+
+
 def _plan_keys(datum):
     plan = crystalline_lift._lift_plan.__wrapped__
     return [key for key in datum._memo
@@ -495,6 +575,7 @@ def _plan_keys(datum):
 def test_simple_trick_check_shares_the_lift_plan(monkeypatch):
     builds = []
     smith_forms = []
+    differences = []
 
     def counting_average(*args):
         builds.append(args)
@@ -504,21 +585,30 @@ def test_simple_trick_check_shares_the_lift_plan(monkeypatch):
         smith_forms.append(a)
         return smith_normal_form(a)
 
+    def counting_sub(*args):
+        differences.append(args)
+        return mat_sub(*args)
+
     monkeypatch.setattr(crystalline_lift, "averaged_scale_matrix",
                         counting_average)
     monkeypatch.setattr(crystalline_lift, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(crystalline_lift, "mat_sub", counting_sub)
     sp4 = build_root_datum("Sp4")
     w = weyl_from_word(sp4, [0, 1])
     lift_inertia(sp4, make_pair(sp4, 3, 4, (0, 0), w))
     keys = _plan_keys(sp4)
     assert len(keys) == len(builds) == 1
-    # the plan holds the Smith forms' results: that of xi_bar, and the
-    # kernel count of q - w
-    assert len(smith_forms) == 2
-    for method in ("exhaustive", "snf", "snf"):
+    # the plan holds q - w and the Smith forms' results: that of xi_bar,
+    # and the kernel count of q - w
+    assert len(smith_forms) == 2 and len(differences) == 1
+    plan = _lift_plan(sp4, w, 3, 4)
+    assert plan.q_minus_w == mat_sub(mat_scale(3, identity_matrix(2)),
+                                     w.matrix)
+    for method in ("exhaustive", "snf", "exhaustive", "snf"):
         assert simple_trick_check(sp4, 3, 4, w, method=method)
     assert _plan_keys(sp4) == keys and len(builds) == 1
-    assert len(smith_forms) == 2
+    # an exhaustive check on a warm plan builds no q - w either
+    assert len(smith_forms) == 2 and len(differences) == 1
     # a refused configuration leaves no plan behind
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(sp4, 3, 3, w)

@@ -19,7 +19,7 @@ from smith_reference import smith_normal_form as reference_smith_form
 
 from tamelift import lattice
 from tamelift.acceptance import _lift_sweep
-from tamelift.crystalline_lift import _lift_plan, _q_minus_w
+from tamelift.crystalline_lift import _lift_plan
 from tamelift.lattice import (
     hnf_rows,
     identity_matrix,
@@ -272,8 +272,8 @@ def test_normal_forms_match_the_reference_on_the_package_matrices():
     # kernel of KERNEL_PRESETS
     plan_matrices = []
     for _, datum, q, f, w in _lift_sweep():
-        plan_matrices += [_lift_plan(datum, w, q, f).xi_bar,
-                          _q_minus_w(w.matrix, q)]
+        plan = _lift_plan(datum, w, q, f)
+        plan_matrices += [plan.xi_bar, plan.q_minus_w]
     assert len(plan_matrices) == 312
     for a in plan_matrices:
         assert smith_normal_form(a) == reference_smith_form(a)

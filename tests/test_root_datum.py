@@ -204,6 +204,26 @@ def test_weyl_element_rejects_matrices_outside_gl_n_of_z():
     assert all(type(x) is int for row in fixed for x in row)
 
 
+def test_weyl_element_hash_is_its_matrix_and_survives_pickling():
+    # the hash is computed once, at construction; equal matrices still
+    # hash and compare alike whatever the word, and an unpickled element
+    # is rebuilt, so it finds the memo entries the original filled
+    gl3 = build_root_datum("GL3")
+    w = weyl_from_word(gl3, "s0 s1")
+    twin = WeylElement(matrix=[list(row) for row in w.matrix])
+    assert twin == w and hash(twin) == hash(w) == hash(w.matrix)
+    assert twin.word is None and w.word == (0, 1)
+    assert w != weyl_from_word(gl3, "s1 s0") and w != w.matrix
+    assert simple_trick_check(gl3, 2, 3, w)
+    entries = len(gl3._memo)
+    for element in (w, twin):
+        copy = pickle.loads(pickle.dumps(element))
+        assert copy == w and hash(copy) == hash(w)
+        assert copy.word == element.word
+        assert simple_trick_check(gl3, 2, 3, copy, method="exhaustive")
+    assert len(gl3._memo) == entries
+
+
 def test_weyl_fixed_space_examples():
     gl2 = build_root_datum("GL2")
     assert weyl_fixed_space(gl2, weyl_from_word(gl2, [0])) == ((1, 1),)

@@ -43,6 +43,59 @@ def test_optimized_run_prints_the_same(argv):
             == (plain.returncode, plain.stdout))
 
 
+# modules a plain import loads: the benchmark's tracer wraps the functions
+# of loaded modules only; and the two that only selftest and fixtures need
+EAGER_MODULES = {"lattice", "root_datum", "dynamic", "tame_reps",
+                 "crystalline_lift", "hodge_tate"}
+LAZY_MODULES = {"acceptance", "fixtures"}
+RUN_LIFT = """
+import runpy, sys
+sys.argv = ["tamelift", "lift", "--group", "GL2", "--q", "3", "--f", "2",
+            "--w", "s0", "--vbar", "1,3"]
+try:
+    runpy.run_module("tamelift", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    if stop.code:
+        raise
+"""
+STAR_IMPORT = """
+import tamelift
+from tamelift import *
+missing = [name for name in tamelift.__all__ if name not in globals()]
+if missing:
+    raise SystemExit(f"not bound: {missing}")
+"""
+
+
+def _submodules_loaded_after(script):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    script += ("\nimport sys\nprint(' '.join(sorted(name[9:] for name in "
+               "sys.modules if name.startswith('tamelift.'))))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("script", ["import tamelift", RUN_LIFT],
+                         ids=["import", "lift"])
+def test_acceptance_and_fixtures_load_on_first_use(script):
+    loaded = _submodules_loaded_after(script)
+    assert EAGER_MODULES <= loaded
+    assert not LAZY_MODULES & loaded
+
+
+def test_star_import_binds_every_public_name():
+    assert LAZY_MODULES <= _submodules_loaded_after(STAR_IMPORT)
+    for name in ("run_all", "run_selected", "CriterionResult",
+                 "run_fixture_suite", "write_fixture_files",
+                 "FixtureOutcome"):
+        assert name in tamelift.__all__
+        assert getattr(tamelift, name).__module__.startswith("tamelift.")
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        tamelift.nothing
+
+
 def test_no_fractions_imports_in_package():
     # the package computes over Z and Z/N only; Fraction references live
     # in the tests
