@@ -6,7 +6,7 @@ from tamelift import (
     build_root_datum,
     datum_from_dict,
     datum_to_dict,
-    pair,
+    root_pairings,
     weyl_from_word,
     weyl_group_elements,
 )
@@ -26,8 +26,8 @@ def pairing_sanity() -> None:
     print("\n<alpha, alpha_vee> = 2 for every root:")
     for name in ("GL3", "Sp4", "G2"):
         datum = build_root_datum(name)
-        values = {pair(datum, alpha, datum.coroots[k])
-                  for k, alpha in enumerate(datum.roots)}
+        values = {root_pairings(datum, alpha_v)[k]
+                  for k, alpha_v in enumerate(datum.coroots)}
         print(f"  {name}: {sorted(values)}")
 
 

@@ -9,8 +9,8 @@ from tamelift import (
     is_ht_regular,
     lift_inertia,
     make_pair,
-    pair,
     regular_lift,
+    root_pairings,
     weyl_from_word,
     weyl_identity,
 )
@@ -20,7 +20,8 @@ def show_type(datum, label, v) -> None:
     t = ht_type(v)
     print(f"  {label}:")
     for j, c in enumerate(t.cochars):
-        killed = [alpha for alpha in datum.roots if pair(datum, alpha, c) == 0]
+        pairings = root_pairings(datum, c)
+        killed = [alpha for alpha, x in zip(datum.roots, pairings) if x == 0]
         note = f"killed by {killed[0]}" if killed else "regular"
         print(f"    colabel {j}: {c}  ({note})")
     print(f"    regular type: {is_ht_regular(datum, t)}")

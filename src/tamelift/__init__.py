@@ -25,7 +25,6 @@ from .dynamic import (
     ParabolicType,
     chamber_sum,
     frobenius_orbit_sum,
-    is_proper,
     normalizer_element_in_parabolic,
     parabolic_of,
     parabolic_to_dict,
@@ -64,19 +63,17 @@ from .root_datum import (
     RootDatum,
     WeylElement,
     build_root_datum,
-    central_cochar_space,
     datum_from_dict,
     datum_to_dict,
     is_regular_cochar,
     make_root_datum,
-    pair,
+    root_pairings,
     simple_coreflections,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
     weyl_group_elements,
     weyl_identity,
-    weyl_order,
 )
 from .tame_reps import (
     IrreducibilityResult,
@@ -144,7 +141,6 @@ __all__ = [
     "build_root_datum",
     "canonical_json",
     "canonical_regular_cochar",
-    "central_cochar_space",
     "chamber_sum",
     "check_weyl_order",
     "datum_from_dict",
@@ -159,7 +155,6 @@ __all__ = [
     "inertia_centralizer_roots",
     "is_G_irreducible",
     "is_ht_regular",
-    "is_proper",
     "is_regular_cochar",
     "kernel_membership",
     "labeled_from_colabeled",
@@ -173,7 +168,6 @@ __all__ = [
     "multiset_divide",
     "niveau",
     "normalizer_element_in_parabolic",
-    "pair",
     "pair_from_dict",
     "pair_to_dict",
     "parabolic_of",
@@ -181,6 +175,7 @@ __all__ = [
     "reduction",
     "regular_lift",
     "regular_seed",
+    "root_pairings",
     "run_all",
     "run_fixture_suite",
     "run_selected",
@@ -194,7 +189,6 @@ __all__ = [
     "weyl_from_word",
     "weyl_group_elements",
     "weyl_identity",
-    "weyl_order",
     "write_fixture_files",
     "xi_operator",
 ]

@@ -29,7 +29,7 @@ from .errors import (
     LiftHypothesisError,
     MultisetDivisionError,
 )
-from .hodge_tate import ht_type, is_ht_regular, regular_lift
+from .hodge_tate import ht_type, regular_lift
 from .jsonio import canonical_json, load_json_file
 from .root_datum import (
     build_root_datum,
@@ -259,13 +259,15 @@ def _cmd_ht(args) -> int:
     t = ht_type(out.tuple)
     offending = {j: _offending_root(datum, c)
                  for j, c in enumerate(t.cochars)}
+    # HT-regular exactly when no slot has a root pairing to zero with it
+    regular = all(root is None for root in offending.values())
     if args.format == "json":
         payload = {
             "f": t.f,
             "cochars": {str(j): list(c) for j, c in enumerate(t.cochars)},
             "offending_roots": {str(j): None if r is None else list(r)
                                 for j, r in offending.items()},
-            "regular": is_ht_regular(datum, t),
+            "regular": regular,
         }
         _emit_json(payload)
         return 0
@@ -274,7 +276,7 @@ def _cmd_ht(args) -> int:
         root = offending[j]
         root_text = "-" if root is None else _fmt_vec(root)
         print(f"{j:7d}  {_fmt_vec(c)}  {_yn(root is None)}  {root_text}")
-    print(f"ht regular: {_yn(is_ht_regular(datum, t))}")
+    print(f"ht regular: {_yn(regular)}")
     return 0
 
 

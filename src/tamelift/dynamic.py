@@ -8,54 +8,34 @@ sums, which stand in for products of Frobenius translates of a cocharacter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ChamberMismatchError
 from .lattice import Vec, vec_add
 from .root_datum import RootDatum, WeylElement, root_pairings, root_permutation
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParabolicType:
     """Root-subset shadow of the parabolic attached to a cocharacter.
 
-    Root subsets are stored as frozensets of indices into datum.roots, so
-    two types over the same datum compare equal exactly when they carve out
-    the same parabolic (the Levi and unipotent parts are determined by the
-    nonnegative set).
+    Root subsets are stored as frozensets of indices into the datum's
+    roots.  Equality and hashing read the nonnegative set alone (the Levi
+    and unipotent parts are determined by it), so two types compare equal
+    exactly when they carve out the same parabolic; only parabolics of one
+    datum are meant to be compared.
     """
 
-    datum: RootDatum
-    defining_cochar: Vec
+    defining_cochar: Vec = field(compare=False)
     nonneg_roots: frozenset[int]
-    levi_roots: frozenset[int]
-    unipotent_roots: frozenset[int]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParabolicType)
-            and self.datum == other.datum
-            and self.nonneg_roots == other.nonneg_roots
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.datum, self.nonneg_roots))
-
-    def nonneg_root_vectors(self) -> tuple[Vec, ...]:
-        return tuple(self.datum.roots[i] for i in sorted(self.nonneg_roots))
-
-    def levi_root_vectors(self) -> tuple[Vec, ...]:
-        return tuple(self.datum.roots[i] for i in sorted(self.levi_roots))
-
-    def unipotent_root_vectors(self) -> tuple[Vec, ...]:
-        return tuple(self.datum.roots[i] for i in sorted(self.unipotent_roots))
+    levi_roots: frozenset[int] = field(compare=False)
+    unipotent_roots: frozenset[int] = field(compare=False)
 
 
 def parabolic_of(datum: RootDatum, cochar: Vec) -> ParabolicType:
     """Split the roots by sign of their pairing with the cocharacter."""
     cochar = tuple(cochar)
-    return ParabolicType(datum, cochar,
-                         *split_by_sign(root_pairings(datum, cochar)))
+    return ParabolicType(cochar, *split_by_sign(root_pairings(datum, cochar)))
 
 
 def split_by_sign(pairings: Vec) -> tuple[frozenset[int], ...]:
@@ -64,12 +44,6 @@ def split_by_sign(pairings: Vec) -> tuple[frozenset[int], ...]:
     levi = frozenset([i for i, v in enumerate(pairings) if v == 0])
     unipotent = frozenset([i for i, v in enumerate(pairings) if v > 0])
     return levi | unipotent, levi, unipotent
-
-
-def is_proper(p: ParabolicType) -> bool:
-    """A parabolic type is proper exactly when something is moved, i.e. the
-    unipotent part is nonempty."""
-    return bool(p.unipotent_roots)
 
 
 def same_parabolic(datum: RootDatum, lam: Vec, mu: Vec) -> bool:
@@ -86,9 +60,10 @@ def chamber_sum(datum: RootDatum, lam: Vec, mu: Vec) -> Vec:
 
     The sum stays in that chamber, so it defines the same Borel type.
     """
-    if not same_parabolic(datum, lam, mu):
+    signs = _signs(root_pairings(datum, lam))
+    if signs != _signs(root_pairings(datum, mu)):
         raise ChamberMismatchError(f"{lam} and {mu} do not share a chamber")
-    if parabolic_of(datum, lam).levi_roots:
+    if 0 in signs:
         raise ChamberMismatchError(
             f"{lam} is not in an open chamber (some root pairs to zero)")
     return vec_add(lam, mu)

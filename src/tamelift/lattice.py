@@ -122,17 +122,6 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return result
 
 
-def matrix_order(a: Mat, cap: int = 100000) -> int:
-    """Smallest k >= 1 with a^k = identity."""
-    ident = identity_matrix(len(a))
-    power = a
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = mat_mul(power, a)
-    raise ValueError(f"matrix order exceeds cap {cap}")
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms
 

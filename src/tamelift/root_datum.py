@@ -7,7 +7,8 @@ the cocharacter lattice; the contragredient action permutes the roots.
 
 Conventions:
   * characters and cocharacters are integer row tuples of length `rank`;
-  * pair(x, y) = x^T * pairing * y;
+  * <x, y> = x^T * pairing * y; root_functionals holds alpha^T * pairing
+    for each root alpha, so root_pairings(datum, y) lists every <alpha, y>;
   * the root list is sorted lexicographically, so serialization is canonical
     and root indices are stable.
 """
@@ -33,7 +34,6 @@ from .lattice import (
     mat_sub,
     mat_transpose,
     mat_vec,
-    matrix_order,
     smith_normal_form,
     solve_int_smith,
     vec_add,
@@ -134,16 +134,6 @@ class WeylElement:
 # ---------------------------------------------------------------------------
 # pairing and pointwise queries
 
-def pair(datum: RootDatum, character: Vec, cochar: Vec) -> int:
-    """Canonical pairing <character, cochar> through the datum's form."""
-    if len(character) != datum.rank or len(cochar) != datum.rank:
-        raise ValueError(
-            f"dimension mismatch: expected rank {datum.rank}, "
-            f"got {len(character)} and {len(cochar)}"
-        )
-    return dot(character, mat_vec(datum.pairing, cochar))
-
-
 @per_datum
 def root_functionals(datum: RootDatum) -> Mat:
     """One integer row per root, in root order: <alpha, y> = row . y for
@@ -185,13 +175,6 @@ def canonical_regular_cochar(datum: RootDatum) -> Vec:
             return candidate
     raise InternalConsistencyError(
         f"no regular cocharacter found for {datum.label}")
-
-
-@per_datum
-def central_cochar_space(datum: RootDatum) -> Mat:
-    """Canonical basis of the rational central directions, i.e. cocharacters
-    killed by every root.  Saturated, so a basis over Z as well."""
-    return integer_kernel_basis(root_functionals(datum), datum.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +591,6 @@ def _root_permutation_cached(datum: RootDatum, matrix: Mat) -> tuple[int, ...]:
 def root_permutation(datum: RootDatum, w: WeylElement) -> tuple[int, ...]:
     """Index permutation of datum.roots induced by the contragredient of w."""
     return _root_permutation_cached(datum, w.matrix)
-
-
-def weyl_order(w: WeylElement) -> int:
-    return matrix_order(w.matrix)
 
 
 def weyl_group_elements(datum: RootDatum, limit: int = 10000) -> tuple[WeylElement, ...]:

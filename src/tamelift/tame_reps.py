@@ -301,8 +301,7 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
                 f"oracle out of range: rank {datum.rank} exceeds "
                 f"{ORACLE_RANK_CAP}; pass an explicit limit to override")
         limit = ORACLE_WEYL_CAP
-    return [ParabolicType(datum, *record)
-            for record in _stable_proper_parabolics(datum, p.w.matrix, limit)]
+    return list(_stable_proper_parabolics(datum, p.w.matrix, limit))
 
 
 @per_datum
@@ -346,16 +345,9 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-# The memo keeps a parabolic as (defining cochar, nonneg, levi, unipotent),
-# a ParabolicType's fields without its datum: a ParabolicType in the datum's
-# own memo would refer back to the datum, which only the cycle collector
-# could then free.
-_ParabolicRecord = tuple[Vec, frozenset[int], frozenset[int], frozenset[int]]
-
-
 @per_datum
 def _torus_parabolics(datum: RootDatum, limit: int
-                      ) -> tuple[tuple[_ParabolicRecord, tuple[bool, ...]], ...]:
+                      ) -> tuple[tuple[ParabolicType, tuple[bool, ...]], ...]:
     """Every proper parabolic containing the torus, once each, sorted by
     the sorted tuple of its nonnegative root indices, and with its
     nonnegative set as a 0/1 indicator tuple over the roots.
@@ -393,15 +385,15 @@ def _torus_parabolics(datum: RootDatum, limit: int
             if len(orbit) > limit:
                 raise _weyl_limit_error(datum, limit)
         points.extend(orbit.items())
-    table = [((lam, *split_by_sign(pairings)),
+    table = [(ParabolicType(lam, *split_by_sign(pairings)),
               tuple([v >= 0 for v in pairings])) for lam, pairings in points]
-    table.sort(key=lambda entry: tuple(sorted(entry[0][1])))
+    table.sort(key=lambda entry: tuple(sorted(entry[0].nonneg_roots)))
     return tuple(table)
 
 
 @per_datum
 def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
-                              limit: int) -> tuple[_ParabolicRecord, ...]:
+                              limit: int) -> tuple[ParabolicType, ...]:
     # w stabilizes a parabolic when its root permutation maps the
     # nonnegative roots onto themselves (normalizer_element_in_parabolic);
     # the permutation is a bijection, so exactly when the permuted
@@ -411,7 +403,7 @@ def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
     if not table:
         return table  # no roots, so no proper parabolic
     image = operator.itemgetter(*perm)
-    return tuple(record for record, mask in table if image(mask) == mask)
+    return tuple(par for par, mask in table if image(mask) == mask)
 
 
 # ---------------------------------------------------------------------------

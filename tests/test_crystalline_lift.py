@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from smith_reference import smith_normal_form as reference_smith_form
 
 from tamelift import crystalline_lift
 from tamelift.acceptance import (
@@ -493,6 +494,42 @@ def test_halves_count_on_every_lift_sweep_matrix():
                 assert count == count_kernel_by_odometer(mat, n)
                 odometer_checked += 1
     assert odometer_checked == 250
+
+
+def smith_invariants(mat):
+    d = reference_smith_form(mat)[0]
+    return [d[i][i] for i in range(len(d))]
+
+
+def assert_plan_smith_forms_are_dual(plan):
+    # w^f = 1 gives (q - w) . xi_bar = N . 1, and q >= 2 makes q - w
+    # nonsingular; so xi_bar = N (q - w)^-1, whose Smith invariants are
+    # N / d_(r+1-i) for the invariants d_i of q - w
+    d = smith_invariants(plan.q_minus_w)
+    assert all(x > 0 and plan.modulus % x == 0 for x in d)
+    assert smith_invariants(plan.xi_bar) == [plan.modulus // x
+                                             for x in reversed(d)]
+
+
+def test_plan_smith_forms_are_dual_on_the_lift_sweep():
+    configurations = 0
+    for _, datum, q, f, w in _lift_sweep():
+        assert_plan_smith_forms_are_dual(_lift_plan(datum, w, q, f))
+        configurations += 1
+    assert configurations == 156
+
+
+@pytest.mark.parametrize("name", ["SL3", "SO5", "Sp6", "SO7", "SO8", "GL5"])
+def test_plan_smith_forms_are_dual_beyond_the_lift_sweep(name):
+    datum = build_root_datum(name)
+    ident = identity_matrix(datum.rank)
+    configurations = [(q, f, w) for w in weyl_group_elements(datum)
+                      for f in (1, 2, 3, 4, 6)
+                      if mat_pow(w.matrix, f) == ident for q in (2, 3, 5)]
+    sample = random.Random(name).sample(configurations,
+                                        min(100, len(configurations)))
+    for q, f, w in sample:
+        assert_plan_smith_forms_are_dual(_lift_plan(datum, w, q, f))
 
 
 # composite moduli with at least two prime-power parts, a repeated prime

@@ -28,7 +28,6 @@ from tamelift.lattice import (
     mat_mul,
     mat_sub,
     mat_vec,
-    matrix_order,
     smith_normal_form,
     solve_int_smith,
 )
@@ -442,11 +441,3 @@ def test_solve_int_smith_against_oracles():
             assert (frac_rank(appended) > frac_rank(a)
                     or any(ModSolver(snf, n).solve(b) is None
                            for n in range(2, 200)))
-
-
-def test_matrix_order():
-    swap = ((0, 1), (1, 0))
-    assert matrix_order(swap) == 2
-    assert matrix_order(identity_matrix(3)) == 1
-    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    assert matrix_order(cycle) == 3
