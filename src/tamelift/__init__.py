@@ -28,7 +28,6 @@ from .dynamic import (
     normalizer_element_in_parabolic,
     parabolic_of,
     parabolic_to_dict,
-    same_parabolic,
 )
 from .errors import (
     ChamberMismatchError,
@@ -179,7 +178,6 @@ __all__ = [
     "run_all",
     "run_fixture_suite",
     "run_selected",
-    "same_parabolic",
     "simple_coreflections",
     "simple_trick_check",
     "validate_pair",

@@ -95,14 +95,6 @@ class CriterionResult:
         return line
 
 
-def _finish(number: int, start: float, cases: int,
-            failures: list[str]) -> CriterionResult:
-    return CriterionResult(number=number, name=CRITERION_NAMES[number],
-                           passed=not failures, cases=cases,
-                           failures=tuple(failures),
-                           seconds=time.perf_counter() - start)
-
-
 def _lift_sweep():
     """Yield (preset, datum, q, f, w) over every lift-sweep configuration:
     all Weyl elements whose f-th power is the identity."""
@@ -135,10 +127,9 @@ def _pair_label(preset: str, p) -> str:
     return f"{preset} q={p.q} f={p.f} w={list(p.w.word)} vbar={p.vbar}"
 
 
-def run_criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_1(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """Every lift reproduces its input: kernel membership holds and the
     reduction returns the original tame pair, as exact integers."""
-    start = time.perf_counter()
     cases = 0
     failures: list[str] = []
     for preset, datum, p in _lift_cases(seed):
@@ -147,16 +138,15 @@ def run_criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not (kernel_membership(p.w, out.tuple)
                 and reduction(out.tuple) == p.vbar):
             failures.append(_pair_label(preset, p))
-    return _finish(1, start, cases, failures)
+    return cases, failures
 
 
-def run_criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_2(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """The kernel of (q - w) mod N equals the image of the averaging matrix
     for every lift-sweep configuration, counted two independent ways: over
     all vectors (meeting in the middle, and for ranks above 2 one
     prime-power part of N at a time) and through Smith normal form."""
     del seed  # the sweep is already exhaustive
-    start = time.perf_counter()
     cases = 0
     failures: list[str] = []
     for preset, datum, q, f, w in _lift_sweep():
@@ -166,7 +156,7 @@ def run_criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not (exhaustive and snf):
             failures.append(f"{preset} q={q} f={f} w={list(w.word)}: "
                             f"exhaustive={exhaustive} snf={snf}")
-    return _finish(2, start, cases, failures)
+    return cases, failures
 
 
 def _irreducibility_cases(seed: int):
@@ -197,10 +187,9 @@ def _irreducibility_cases(seed: int):
                         yield preset, datum, p
 
 
-def run_criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_3(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """The two-condition irreducibility criterion agrees with the brute
     force search for a stable proper parabolic, case by case."""
-    start = time.perf_counter()
     cases = 0
     failures: list[str] = []
     for preset, datum, p in _irreducibility_cases(seed):
@@ -212,19 +201,18 @@ def run_criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
                             f"oracle={len(stable)}")
     if cases == 0:
         failures.append("sweep produced no eligible pairs")
-    return _finish(3, start, cases, failures)
+    return cases, failures
 
 
-def run_criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_4(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """regular_lift always lands on a fully regular tuple with a small seed
     multiplier, and repeating the sweep with the same seed reproduces every
     output bit for bit."""
-    start = time.perf_counter()
     first, failures = _regular_lift_pass(seed)
     second, _ = _regular_lift_pass(seed)
     if first != second:
         failures.append("rerun with the same seed changed the outputs")
-    return _finish(4, start, len(first), failures)
+    return len(first), failures
 
 
 def _regular_lift_pass(seed: int):
@@ -244,20 +232,18 @@ def _regular_lift_pass(seed: int):
     return outcomes, failures
 
 
-def run_criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_5(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """The stored golden fixture files are reproduced byte for byte."""
     del seed  # nothing random: recomputation against stored files
-    start = time.perf_counter()
     outcomes = run_fixture_suite()
     failures = [f"fixture {o.name} mismatched" for o in outcomes
                 if not o.passed]
-    return _finish(5, start, len(outcomes), failures)
+    return len(outcomes), failures
 
 
-def run_criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_6(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """Every pair the criterion judges irreducible has a Weyl element whose
     niveau-th power is the identity."""
-    start = time.perf_counter()
     cases = 0
     failures: list[str] = []
     for preset, datum, p in _irreducibility_cases(seed):
@@ -268,7 +254,7 @@ def run_criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
             failures.append(_pair_label(preset, p))
     if cases == 0:
         failures.append("sweep produced no irreducible pairs")
-    return _finish(6, start, cases, failures)
+    return cases, failures
 
 
 def _random_regular_cochar(datum: RootDatum, rng: random.Random):
@@ -289,10 +275,9 @@ def _chamber_companion(datum: RootDatum, lam, rng: random.Random):
     return vec_add(vec_scale(margin + 1, lam), delta)
 
 
-def run_criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
+def run_criterion_7(seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
     """Adding two cocharacters from the same open chamber never moves the
     attached parabolic."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     cases = 0
     failures: list[str] = []
@@ -305,7 +290,7 @@ def run_criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
             cases += 1
             if parabolic_of(datum, total) != parabolic_of(datum, lam):
                 failures.append(f"{preset} lam={lam} mu={mu}")
-    return _finish(7, start, cases, failures)
+    return cases, failures
 
 
 CRITERIA = (
@@ -320,19 +305,21 @@ CRITERIA = (
 
 
 def run_selected(numbers, seed: int = DEFAULT_SEED) -> tuple[CriterionResult, ...]:
-    """Run the named criteria in ascending order; a crash becomes a failed
-    result, not a lost report."""
+    """Run the named criteria in ascending order, timing each; a crash
+    becomes a failed result with no cases, not a lost report."""
     results = []
     for number in sorted(set(numbers)):
         if not 1 <= number <= len(CRITERIA):
             raise ValueError(f"no criterion {number}; valid: 1..{len(CRITERIA)}")
+        start = time.perf_counter()
         try:
-            results.append(CRITERIA[number - 1](seed))
+            cases, failures = CRITERIA[number - 1](seed)
         except Exception as exc:
-            results.append(CriterionResult(
-                number=number, name=CRITERION_NAMES[number], passed=False,
-                cases=0, failures=(f"{type(exc).__name__}: {exc}",),
-                seconds=0.0))
+            cases, failures = 0, [f"{type(exc).__name__}: {exc}"]
+        results.append(CriterionResult(
+            number=number, name=CRITERION_NAMES[number], passed=not failures,
+            cases=cases, failures=tuple(failures),
+            seconds=time.perf_counter() - start))
     return tuple(results)
 
 

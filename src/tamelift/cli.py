@@ -6,10 +6,11 @@ reproduce the golden fixtures and verification sweeps.
 
 Results go to stdout, diagnostics to stderr.  Output is deterministic: the
 same flags (and seed, where one applies) give byte-identical stdout.  Exit
-codes: 0 success, 1 invalid input, 2 a validation or requested check
-failed, 3 an enumeration guard tripped, 4 an internal re-check failed or
-any other unexpected error occurred (one `error:` line, no traceback unless
---verbose).
+codes: 0 success, 1 invalid input (a ValueError or OSError), and for a
+domain error the `exit_code` of its type in `tamelift.errors`: 2 a
+validation or requested check failed, 3 an enumeration guard tripped, 4 an
+internal re-check failed.  Any other unexpected error also exits 4.  Every
+failure prints one `error:` line, with no traceback unless --verbose.
 """
 from __future__ import annotations
 
@@ -20,16 +21,8 @@ import sys
 
 from .crystalline_lift import lift_inertia, lift_to_dict, reduction
 from .dynamic import parabolic_to_dict
-from .errors import (
-    ChamberMismatchError,
-    DatumValidationError,
-    GuardError,
-    InternalConsistencyError,
-    InvalidPairError,
-    LiftHypothesisError,
-    MultisetDivisionError,
-)
-from .hodge_tate import ht_type, regular_lift
+from .errors import TameliftError
+from .hodge_tate import ht_to_dict, ht_type, regular_lift
 from .jsonio import canonical_json, load_json_file
 from .root_datum import (
     build_root_datum,
@@ -52,8 +45,8 @@ from .tame_reps import (
 ORACLE_LIMIT_ENV = "TAMELIFT_ORACLE_LIMIT"
 
 
-class CliInputError(Exception):
-    """Unusable flags or unreadable input; maps to exit code 1."""
+class CliInputError(ValueError):
+    """Unusable flags or unreadable input; exits 1, as any ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +257,7 @@ def _cmd_ht(args) -> int:
     if args.format == "json":
         payload = {
             "f": t.f,
-            "cochars": {str(j): list(c) for j, c in enumerate(t.cochars)},
+            "cochars": ht_to_dict(t),
             "offending_roots": {str(j): None if r is None else list(r)
                                 for j, r in offending.items()},
             "regular": regular,
@@ -316,27 +309,24 @@ def _cmd_selftest(args) -> int:
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.only is not None:
-        try:
-            results = run_selected(_parse_criteria(args.only), seed=seed)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        results = run_selected(_parse_criteria(args.only), seed=seed)
     else:
         results = run_all(seed=seed)
+    passed = all(r.passed for r in results)
     if args.format == "json":
-        payload = {
-            "passed": all(r.passed for r in results),
+        _emit_json({
+            "passed": passed,
             "results": [{"number": r.number, "name": r.name,
                          "passed": r.passed, "cases": r.cases,
                          "failures": list(r.failures)} for r in results],
-        }
-        _emit_json(payload)
-        return 0 if payload["passed"] else 2
-    for r in results:
-        print(r.summary())
-        if args.verbose:
-            print(f"criterion {r.number}: {r.seconds:.1f}s", file=sys.stderr)
-    passed = all(r.passed for r in results)
-    print(f"selftest: {'PASS' if passed else 'FAIL'}")
+        })
+    else:
+        for r in results:
+            print(r.summary())
+            if args.verbose:
+                print(f"criterion {r.number}: {r.seconds:.1f}s",
+                      file=sys.stderr)
+        print(f"selftest: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
 
 
@@ -346,16 +336,16 @@ def _cmd_fixtures(args) -> int:
     from .fixtures import run_fixture_suite
 
     outcomes = run_fixture_suite()
+    failed = [o for o in outcomes if not o.passed]
     if args.format == "json":
         _emit_json({
-            "passed": all(o.passed for o in outcomes),
+            "passed": not failed,
             "fixtures": [{"name": o.name, "passed": o.passed}
                          for o in outcomes],
         })
-        return 0 if all(o.passed for o in outcomes) else 2
+        return 0 if not failed else 2
     for o in outcomes:
         print(f"fixture {o.name}: {'PASS' if o.passed else 'FAIL'}")
-    failed = [o for o in outcomes if not o.passed]
     for o in failed:
         diff = difflib.unified_diff(
             o.expected.splitlines(keepends=True),
@@ -445,19 +435,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliInputError as exc:
+    except TameliftError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DatumValidationError, InvalidPairError, LiftHypothesisError,
-            ChamberMismatchError, MultisetDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

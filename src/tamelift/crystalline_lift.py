@@ -51,6 +51,14 @@ from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 # fewer where it counts the prime-power parts of N one at a time), and the
 # most entries one of its tables can hold (about 50 MB of tables at the cap)
 EXHAUSTIVE_CAP = 2 * 10 ** 5
+# the exhaustive count splits N into its prime-power parts only when
+# N^ceil(r/2) exceeds this.  Timed on q - w and the averaged matrices of
+# rank-2 data, the split did not pay up to N of about 26, where factoring N
+# and a table per part cost about what they save; it took 0.3-0.8 of the
+# time from there to 124, and 0.04-0.6 above, except where one part is
+# nearly all of N (127, 242, 256).  At 124 every count of the lift sweep
+# keeps its way: whole at r <= 2, split at r > 2 for N = 24, 26 and 124.
+SPLIT_FLOOR = 124
 
 
 @dataclass(frozen=True)
@@ -312,17 +320,17 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
     the check compares sizes, so a True is a certificate of equality.
     Methods: "exhaustive" counts both kernels over all N^r vectors without
     the Smith form, meeting in the middle: the residues of one half of the
-    coordinates are tabulated and those of the other half looked up.  For
-    r > 2 each prime-power part p^k of N is counted on its own and the
-    counts multiplied, about the sum of (p^k)^ceil(r/2) steps; for r <= 2,
-    about N^ceil(r/2).  It raises GuardError, before N is factored, when
-    N^ceil(r/2) exceeds EXHAUSTIVE_CAP.  "snf", the default, counts them
-    through Smith normal form.  Both are exact, so they return the same
-    bool.  q and f are checked as a pair's are (ValueError, or GuardError
-    for too large an N).  q - w, the averaged matrix and their Smith-form
-    kernel counts come from the configuration's lift plan, which raises
-    ValueError unless w lies in W and LiftHypothesisError unless w^f is
-    the identity.
+    coordinates are tabulated and those of the other half looked up.  Where
+    N^ceil(r/2) exceeds SPLIT_FLOOR, each prime-power part p^k of N is
+    counted on its own and the counts multiplied, about the sum of
+    (p^k)^ceil(r/2) steps; elsewhere, about N^ceil(r/2).  It raises
+    GuardError, before N is factored, when N^ceil(r/2) exceeds
+    EXHAUSTIVE_CAP.  "snf", the default, counts them through Smith normal
+    form.  Both are exact, so they return the same bool.  q and f are checked
+    as a pair's are (ValueError, or GuardError for too large an N).  q - w,
+    the averaged matrix and their Smith-form kernel counts come from the
+    configuration's lift plan, which raises ValueError unless w lies in W
+    and LiftHypothesisError unless w^f is the identity.
     """
     if method not in ("exhaustive", "snf"):
         raise ValueError(f"unknown method {method!r}")
@@ -352,13 +360,12 @@ def simple_trick_check(datum: RootDatum, q: int, f: int, w: WeylElement,
 def _count_kernel_by_halves(mat: Mat, n: int) -> int:
     """Kernel size mod n of a square matrix, counted over all n^r vectors
     without its Smith form.  By the Chinese remainder theorem it is the
-    product of the kernel sizes mod the prime-power parts p^k of n; for
-    r > 2 each part is counted on its own, about the sum of
-    (p^k)^ceil(r/2) steps instead of n^ceil(r/2).  For r <= 2 the larger
-    half is one coordinate, and splitting saves less than a part's fixed
-    cost.  Factoring n takes about sqrt(n) steps, so n must be small:
-    `simple_trick_check` applies the exhaustive guard first."""
-    if len(mat) <= 2:
+    product of the kernel sizes mod the prime-power parts p^k of n; where
+    n^ceil(r/2) exceeds SPLIT_FLOOR, each part is counted on its own, about
+    the sum of (p^k)^ceil(r/2) steps instead of n^ceil(r/2).  Factoring n
+    takes about sqrt(n) steps, so n must be small: `simple_trick_check`
+    applies the exhaustive guard first."""
+    if n ** ((len(mat) + 1) // 2) <= SPLIT_FLOOR:
         return _count_kernel_mod(mat, n)
     return prod(_count_kernel_mod(mat, part)
                 for part in _prime_power_parts(n))

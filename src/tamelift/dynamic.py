@@ -46,11 +46,6 @@ def split_by_sign(pairings: Vec) -> tuple[frozenset[int], ...]:
     return levi | unipotent, levi, unipotent
 
 
-def same_parabolic(datum: RootDatum, lam: Vec, mu: Vec) -> bool:
-    """Do the two cocharacters induce the same sign pattern on the roots?"""
-    return _signs(root_pairings(datum, lam)) == _signs(root_pairings(datum, mu))
-
-
 def _signs(values: Vec) -> Vec:
     return tuple((v > 0) - (v < 0) for v in values)
 

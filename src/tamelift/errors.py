@@ -3,7 +3,10 @@ from __future__ import annotations
 
 
 class TameliftError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package; `exit_code`
+    is the command line's exit code for the error."""
+
+    exit_code = 2  # a validation or requested check failed
 
 
 class DatumValidationError(TameliftError):
@@ -28,6 +31,8 @@ class InvalidPairError(TameliftError):
 class GuardError(TameliftError):
     """An enumeration was requested beyond its configured desk-scale guard."""
 
+    exit_code = 3
+
 
 class LiftHypothesisError(TameliftError):
     """A lift was requested for a Weyl element whose f-th power is not 1."""
@@ -35,6 +40,8 @@ class LiftHypothesisError(TameliftError):
 
 class InternalConsistencyError(TameliftError):
     """A re-verification that must hold by construction failed."""
+
+    exit_code = 4
 
 
 class MultisetDivisionError(TameliftError):

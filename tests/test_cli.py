@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tamelift import errors
 from tamelift.cli import main
 from tamelift.fixtures import FIXTURE_BUILDERS
 from tamelift.jsonio import canonical_json
@@ -372,6 +373,40 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
     assert err.endswith("error: internal TypeError: boom\n")
 
 
+# the documented exit code and stderr of every error a CLI handler may raise
+EXIT_CODE_CONTRACT = [
+    (errors.DatumValidationError("roots", "boom"), 2, "roots: boom"),
+    (errors.ChamberMismatchError("boom"), 2, "boom"),
+    (errors.InvalidPairError("boom"), 2, "boom"),
+    (errors.GuardError("boom"), 3, "boom"),
+    (errors.LiftHypothesisError("boom"), 2, "boom"),
+    (errors.InternalConsistencyError("boom"), 4, "boom"),
+    (errors.MultisetDivisionError("boom"), 2, "boom"),
+    (ValueError("boom"), 1, "boom"),
+    (OSError("boom"), 1, "boom"),
+    (RuntimeError("boom"), 4, "internal RuntimeError: boom"),
+]
+
+
+def test_exit_code_contract_covers_every_domain_error():
+    covered = {type(exc) for exc, _, _ in EXIT_CODE_CONTRACT}
+    assert set(errors.TameliftError.__subclasses__()) <= covered
+
+
+@pytest.mark.parametrize("exc, code, message", EXIT_CODE_CONTRACT,
+                         ids=[type(exc).__name__ for exc, _, _ in
+                              EXIT_CODE_CONTRACT])
+def test_exit_code_contract(monkeypatch, capsys, exc, code, message):
+    import tamelift.cli as cli
+
+    def raising(datum, p):
+        raise exc
+
+    monkeypatch.setattr(cli, "lift_inertia", raising)
+    assert run(["lift", *GL2_PAIR], capsys) == (code, "",
+                                                 f"error: {message}\n")
+
+
 def test_weyl_matrix_outside_w_exits_1(capsys):
     # -I preserves the GL2 datum but is not in its Weyl group
     code, out, err = run(["irreducible", "--group", "GL2", "--q", "3",
@@ -416,6 +451,25 @@ def test_selftest_report_of_failures(capsys, monkeypatch):
         "selftest: FAIL\n")
     assert out.startswith(failed.summary() + "\n")
     assert err == "criterion 3: 1.5s\n"
+
+
+def test_selftest_reports_a_crashed_criterion(capsys, monkeypatch):
+    import tamelift.acceptance as acceptance
+
+    def crashing(seed):
+        raise RuntimeError("boom")
+
+    criteria = list(acceptance.CRITERIA)
+    criteria[2] = crashing
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+    (result,) = acceptance.run_selected([3])
+    assert (result.number, result.passed, result.cases, result.failures) == (
+        3, False, 0, ("RuntimeError: boom",))
+    assert result.seconds >= 0
+    code, out, _ = run(["selftest", "--only", "3"], capsys)
+    assert (code, out) == (
+        2, "criterion 3 (irreducibility criterion vs oracle): FAIL [0 cases]\n"
+           "  RuntimeError: boom\nselftest: FAIL\n")
 
 
 @pytest.mark.parametrize("argv, seed", [

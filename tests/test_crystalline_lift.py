@@ -478,18 +478,39 @@ def test_halves_count_matches_odometer_and_smith_form(case):
     assert count == ModSolver(smith_normal_form(mat), n).kernel_count
 
 
-def test_halves_count_on_every_lift_sweep_matrix():
+@pytest.fixture
+def factored(monkeypatch):
+    """The moduli that `_count_kernel_by_halves` factors, in call order."""
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return _prime_power_parts(n)
+
+    monkeypatch.setattr(crystalline_lift, "_prime_power_parts", spy)
+    return seen
+
+
+def test_halves_count_on_every_lift_sweep_matrix(factored):
     # q - w and the averaged matrix of every configuration, against the
-    # Smith form everywhere and against the odometer where N^r <= 20000
+    # Smith form everywhere and against the odometer where N^r <= 20000;
+    # N is split exactly at r > 2 for N = 24, 26 and 124, and on every
+    # matrix the product over the parts is the count made whole
     odometer_checked = 0
     for _, datum, q, f, w in _lift_sweep():
         plan = _lift_plan(datum, w, q, f)
         n = plan.modulus
+        split = datum.rank > 2 and n in (24, 26, 124)
         ker_mat = mat_add(mat_scale(q, identity_matrix(datum.rank)),
                           mat_scale(-1, w.matrix))
         for mat in (ker_mat, plan.xi_bar):
+            factored.clear()
             count = _count_kernel_by_halves(mat, n)
+            assert factored == ([n] if split else [])
             assert count == ModSolver(smith_normal_form(mat), n).kernel_count
+            assert count == _count_kernel_mod(mat, n) == math.prod(
+                _count_kernel_mod(mat, part)
+                for part in _prime_power_parts(n))
             if n ** datum.rank <= 20000:
                 assert count == count_kernel_by_odometer(mat, n)
                 odometer_checked += 1
@@ -573,16 +594,9 @@ def test_prime_power_parts_of_every_small_n():
 
 
 def test_modulus_is_factored_only_by_an_admitted_exhaustive_count(
-        monkeypatch):
+        factored):
     # trial division on N = 2^127 - 1 would not finish; the guard and the
     # plan must both leave N unfactored
-    factored = []
-
-    def spy(n):
-        factored.append(n)
-        return _prime_power_parts(n)
-
-    monkeypatch.setattr(crystalline_lift, "_prime_power_parts", spy)
     gl3 = build_root_datum("GL3")
     ident = weyl_identity(gl3)
     pair = make_pair(gl3, 2, 127, (0, 0, 0), ident)
@@ -596,11 +610,22 @@ def test_modulus_is_factored_only_by_an_admitted_exhaustive_count(
         simple_trick_check(gl4, 3, 6, weyl_identity(gl4), method="exhaustive")
     assert factored == []
     # an admitted count at r > 2 factors N once per matrix; r <= 2 never
+    # at an N as small as the lift sweep's
     assert simple_trick_check(gl3, 5, 2, ident, method="exhaustive")
     assert factored == [24, 24]
     assert simple_trick_check(GL2, 5, 2, weyl_identity(GL2),
                               method="exhaustive")
     assert factored == [24, 24]
+
+
+@pytest.mark.parametrize("q", [443, 439])
+def test_rank_two_count_splits_a_large_composite_modulus(factored, q):
+    # N = 196,248 = 8.3.13.17.37 and 192,720 = 16.3.5.11.73: counted whole,
+    # each count visits about N residues; split, about the sum of the parts
+    n = q ** 2 - 1
+    assert (simple_trick_check(GL2, q, 2, SWAP, method="exhaustive")
+            == simple_trick_check(GL2, q, 2, SWAP, method="snf"))
+    assert factored == [n, n]
 
 
 def _plan_keys(datum):

@@ -13,7 +13,6 @@ from tamelift.dynamic import (
     normalizer_element_in_parabolic,
     parabolic_of,
     parabolic_to_dict,
-    same_parabolic,
 )
 from tamelift.errors import ChamberMismatchError
 from tamelift.lattice import dot, mat_vec
@@ -60,18 +59,10 @@ def test_parabolic_of_gl4_block_example():
 
 def test_same_parabolic_examples():
     gl2 = build_root_datum("GL2")
-    assert same_parabolic(gl2, (1, 0), (5, 2))
-    assert not same_parabolic(gl2, (1, 0), (0, 1))
+    assert parabolic_of(gl2, (1, 0)) == parabolic_of(gl2, (5, 2))
+    assert parabolic_of(gl2, (1, 0)) != parabolic_of(gl2, (0, 1))
     # boundary vs interior of the same closed chamber differ
-    assert not same_parabolic(gl2, (1, 0), (1, 1))
-
-
-def test_same_parabolic_matches_parabolic_equality():
-    datum = build_root_datum("Sp4")
-    cochars = list(itertools.product(range(-2, 3), repeat=2))
-    for lam, mu in itertools.product(cochars, repeat=2):
-        expected = parabolic_of(datum, lam) == parabolic_of(datum, mu)
-        assert same_parabolic(datum, lam, mu) == expected
+    assert parabolic_of(gl2, (1, 0)) != parabolic_of(gl2, (1, 1))
 
 
 def test_chamber_sum_example():
