@@ -306,11 +306,14 @@ CRITERIA = (
 
 def run_selected(numbers, seed: int = DEFAULT_SEED) -> tuple[CriterionResult, ...]:
     """Run the named criteria in ascending order, timing each; a crash
-    becomes a failed result with no cases, not a lost report."""
-    results = []
-    for number in sorted(set(numbers)):
+    becomes a failed result with no cases, not a lost report.  Raises
+    ValueError, before any criterion runs, if a number names none."""
+    numbers = sorted(set(numbers))
+    for number in numbers:
         if not 1 <= number <= len(CRITERIA):
             raise ValueError(f"no criterion {number}; valid: 1..{len(CRITERIA)}")
+    results = []
+    for number in numbers:
         start = time.perf_counter()
         try:
             cases, failures = CRITERIA[number - 1](seed)

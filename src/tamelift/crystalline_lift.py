@@ -52,11 +52,11 @@ from .tame_reps import TameInertialPair, _require_q_f, _require_valid
 # most entries one of its tables can hold (about 50 MB of tables at the cap)
 EXHAUSTIVE_CAP = 2 * 10 ** 5
 # the exhaustive count splits N into its prime-power parts only when
-# N^ceil(r/2) exceeds this.  Timed on q - w and the averaged matrices of
-# rank-2 data, the split did not pay up to N of about 26, where factoring N
-# and a table per part cost about what they save; it took 0.3-0.8 of the
-# time from there to 124, and 0.04-0.6 above, except where one part is
-# nearly all of N (127, 242, 256).  At 124 every count of the lift sweep
+# N^ceil(r/2) exceeds this.  Timed with packed residues on q - w and the
+# averaged matrices of rank-2 data, the split took 1.1-2.0 of the time up
+# to N of about 46, where factoring N and a table per part cost more than
+# they save; 0.4-0.9 from there to 124, and 0.13-0.8 above, the most where
+# one part is nearly all of N (166, 242, 250).  At 124 each lift-sweep count
 # keeps its way: whole at r <= 2, split at r > 2 for N = 24, 26 and 124.
 SPLIT_FLOOR = 124
 
@@ -391,40 +391,57 @@ def _prime_power_parts(n: int) -> list[int]:
 
 def _count_kernel_mod(mat: Mat, n: int) -> int:
     """Kernel size mod n of a square matrix, meeting in the middle: split
-    x = (x1, x2) with |x1| = floor(r/2); A x = 0 exactly when A1 x1 = -A2 x2,
-    so tabulate the residues of A1 x1 with their multiplicities and look up
-    each residue of -A2 x2.  Costs about n^ceil(r/2) steps; the table has
-    at most n^floor(r/2) entries."""
-    rank = len(mat)
-    cols = [tuple([x % n for x in col]) for col in zip(*mat)]
-    half = rank // 2
-    table = _residue_counts(cols[:half], n, rank)
-    neg = [tuple([-c % n for c in col]) for col in cols[half:]]
+    x = (x1, x2) with |x1| = floor(r/2); A x = 0 exactly when A1 x1 =
+    A2 (-x2), and -x2 runs over (Z/n)^(r - |x1|) as x2 does, so tabulate
+    the residues of A1 x1 with their multiplicities and look up each
+    residue of A2 x2.  Costs about n^ceil(r/2) steps; the table has at
+    most n^floor(r/2) entries.
+
+    A residue vector is one int, coordinate i in bits [k.i, k.(i+1)) with
+    2^(k-1) >= n.  A sum t of two has fields below 2n, without carries, and
+    t - (((t + fix) & high) >> (k-1)) . n reduces it, where low holds 1,
+    high 2^(k-1) and fix 2^(k-1) - n in every field."""
+    shift = (n - 1).bit_length()  # k - 1
+    low = ((1 << (shift + 1) * len(mat)) - 1) // ((1 << shift + 1) - 1)
+    high, fix = low << shift, ((1 << shift) - n) * low
+    # a column of order d = n / gcd(n, col) has d multiples, n / d times each
+    steps = []
+    for col in zip(*mat):
+        packed = 0
+        for x in reversed(col):
+            packed = packed << shift + 1 | x % n
+        multiples = [0]
+        for _ in range(1, n // gcd(n, *col)):
+            t = multiples[-1] + packed
+            multiples.append(t - (((t + fix) & high) >> shift) * n)
+        steps.append((multiples, n // len(multiples)))
+    half = len(mat) // 2
+    table = _residue_counts(steps[:half], n, shift, high, fix)
     # the larger half is streamed: all but its last column are tabulated,
     # so no table outgrows the first half's
-    last = _residue_counts(neg[-1:], n, rank)
+    last, repeats = steps[-1]
     count = 0
-    for v, m in _residue_counts(neg[:-1], n, rank).items():
-        for s, k in last.items():
-            count += m * k * table.get(
-                tuple([(a + b) % n for a, b in zip(v, s)]), 0)
+    for v, m in _residue_counts(steps[half:-1], n, shift, high, fix).items():
+        m *= repeats
+        for s in last:
+            t = v + s
+            count += m * table.get(t - (((t + fix) & high) >> shift) * n, 0)
     return count
 
 
-def _residue_counts(cols: list[Vec], n: int, rows: int) -> dict[Vec, int]:
-    """How many t in (Z/n)^len(cols) give each residue of sum t_i cols[i]
-    mod n, built one column at a time from that column's multiples: a
-    column of additive order d = n / gcd(n, entries) has d distinct
-    multiples, each n / d times."""
-    counts = {(0,) * rows: 1}
-    for col in cols:
-        order = n // gcd(n, *col)
-        steps = [tuple([t * c % n for c in col]) for t in range(order)]
-        grown: dict[Vec, int] = {}
+def _residue_counts(steps: list[tuple[list[int], int]], n: int, shift: int,
+                    high: int, fix: int) -> dict[int, int]:
+    """How many t in (Z/n)^len(steps) give each packed residue of sum t_i
+    col_i mod n, one column at a time; steps[i] holds the distinct packed
+    multiples of col_i and how often each occurs (see `_count_kernel_mod`)."""
+    counts = {0: 1}
+    for multiples, repeats in steps:
+        grown: dict[int, int] = {}
         for v, m in counts.items():
-            m *= n // order
-            for s in steps:
-                key = tuple([(a + b) % n for a, b in zip(v, s)])
+            m *= repeats
+            for s in multiples:
+                t = v + s
+                key = t - (((t + fix) & high) >> shift) * n
                 grown[key] = grown.get(key, 0) + m
         counts = grown
     return counts

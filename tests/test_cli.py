@@ -472,6 +472,28 @@ def test_selftest_reports_a_crashed_criterion(capsys, monkeypatch):
            "  RuntimeError: boom\nselftest: FAIL\n")
 
 
+def test_selftest_refuses_a_bad_number_before_running_any(capsys,
+                                                          monkeypatch):
+    # criterion 4 takes seconds: 9 is refused before it runs
+    import tamelift.acceptance as acceptance
+
+    ran = []
+
+    def recording(number):
+        def criterion(seed):
+            ran.append(number)
+            return 1, []
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        recording(k + 1) for k in range(len(acceptance.CRITERIA))))
+    code, out, err = run(["selftest", "--only", "4,9"], capsys)
+    assert (code, out, err) == (1, "", "error: no criterion 9; valid: 1..7\n")
+    with pytest.raises(ValueError, match="^no criterion 9; valid: 1..7$"):
+        acceptance.run_selected([9, 4])
+    assert ran == []
+
+
 @pytest.mark.parametrize("argv, seed", [
     (["selftest"], 0), (["selftest", "--only", "3"], 0),
     (["selftest", "--seed", "7"], 7), (["selftest", "--only", "3",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -582,6 +583,29 @@ def test_split_count_matches_odometer_and_smith_form(case):
     assert count == _count_kernel_mod(mat, n)
 
 
+def test_packed_count_at_every_field_width():
+    # a residue vector packs coordinate i into bits [k.i, k.(i+1)) with
+    # 2^(k-1) >= n: every n up to 40 at ranks 1-3, and n either side of a
+    # power of two at rank 4; entries far beyond n are reduced before packing
+    rng = random.Random(23)
+    cases = [(n, rank) for n in range(1, 41) for rank in (1, 2, 3)]
+    edges = {m for j in range(5) for m in (2 ** j - 1, 2 ** j, 2 ** j + 1)}
+    cases += [(n, 4) for n in sorted(edges) if 1 <= n and n ** 4 <= 20000]
+    assert [n for n, rank in cases if rank == 4] == [1, 2, 3, 4, 5, 7, 8, 9]
+    for n, rank in cases:
+        mat = tuple(tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rank))
+                    for _ in range(rank))
+        assert _count_kernel_mod(mat, n) == count_kernel_by_odometer(mat, n)
+    # the widest fields an admitted count can need, counted whole: n =
+    # 199,998 = 2 . 9 . 41 . 271, and a determinant sharing 6 with it
+    n = EXHAUSTIVE_CAP - 2
+    a, b, c = (rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+    mat = ((a, b), (5 * a + 6 * c, 5 * b + 12 * c))
+    count = _count_kernel_mod(mat, n)
+    assert count == ModSolver(smith_normal_form(mat), n).kernel_count
+    assert count > 1
+
+
 def test_prime_power_parts_of_every_small_n():
     assert _prime_power_parts(1) == []
     assert _prime_power_parts(24) == [8, 3]
@@ -675,6 +699,38 @@ def test_simple_trick_check_shares_the_lift_plan(monkeypatch):
     with pytest.raises(LiftHypothesisError):
         simple_trick_check(sp4, 3, 3, w)
     assert _plan_keys(sp4) == keys
+
+
+def test_exhaustive_check_computes_no_smith_form(monkeypatch):
+    # the exhaustive count is the check independent of the Smith form: on
+    # built plans it must reach neither the Smith form nor a solver mod N,
+    # under any name the package binds them to
+    sweep = list(_lift_sweep())
+    for _, datum, q, f, w in sweep:
+        _lift_plan(datum, w, q, f)
+    calls = []
+
+    def spy(name, original):
+        def spied(*args):
+            calls.append(name)
+            return original(*args)
+        return spied
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "tamelift":
+            continue
+        for name in ("smith_normal_form", "ModSolver"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(module, name)))
+    for _, datum, q, f, w in sweep:
+        assert simple_trick_check(datum, q, f, w, method="exhaustive")
+    assert calls == []
+    # the spies see a plan being built
+    gl2 = build_root_datum("GL2")
+    assert simple_trick_check(gl2, 3, 2, weyl_from_word(gl2, [0]),
+                              method="exhaustive")
+    assert sorted(set(calls)) == ["ModSolver", "smith_normal_form"]
 
 
 @pytest.mark.parametrize("q, f", [

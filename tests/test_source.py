@@ -155,12 +155,17 @@ def test_no_module_level_caches_in_package():
 
 def test_integer_kernels_sum_no_generator_expressions():
     # sum(map(operator.mul, ...)) runs the products in C; a generator
-    # expression inside sum runs them one Python frame step at a time
-    root_datum = ast.parse((PACKAGE_DIR / "root_datum.py").read_text())
+    # expression inside sum runs them one Python frame step at a time.
+    # The exhaustive count's helpers are the hot loops of its packed
+    # residues
+    functions = {"root_datum.py": ("root_pairings",),
+                 "crystalline_lift.py": ("_count_kernel_mod",
+                                         "_residue_counts")}
     kernels = [ast.parse((PACKAGE_DIR / "lattice.py").read_text())] + [
-        node for node in ast.walk(root_datum)
-        if isinstance(node, ast.FunctionDef) and node.name == "root_pairings"]
-    assert len(kernels) == 2
+        node for file, names in functions.items()
+        for node in ast.walk(ast.parse((PACKAGE_DIR / file).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert len(kernels) == 4
     offenders = [node.lineno for tree in kernels for node in ast.walk(tree)
                  if isinstance(node, ast.Call)
                  and getattr(node.func, "id", None) == "sum"
