@@ -39,8 +39,8 @@ from .lattice import (
 from .root_datum import (
     RootDatum,
     WeylElement,
+    _all_regular,
     canonical_regular_cochar,
-    is_regular_cochar,
     per_datum,
     require_in_weyl_group,
     root_pairings,
@@ -173,8 +173,15 @@ def reduction(v: CrysCharTuple) -> Vec:
 
 def kernel_membership(w: WeylElement, v: CrysCharTuple) -> bool:
     """True iff w . slot_j equals slot_{j-1 mod f} for every j, exactly."""
-    slots = v.slots
-    return list(map(w.apply, slots)) == [slots[-1], *slots[:-1]]
+    matrix, slots = w.matrix, v.slots
+    # w is square and every slot has the datum's rank: one size check
+    # covers every row of every product
+    if len(matrix) != v.datum.rank:
+        raise ValueError(
+            f"dimension mismatch: {len(matrix)} vs {v.datum.rank}")
+    images = [tuple([sum(map(mul, row, s)) for row in matrix])
+              for s in slots]
+    return images == [slots[-1], *slots[:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,8 @@ def _checked_lift(datum: RootDatum, p: TameInertialPair,
     reduces to vbar.  The slots must be `_LiftPlan.slots` products, so the
     tuple is built without re-checking its entries.  Returns it as
     `result`, with any further `fields`; `regular` records whether every
-    slot is regular."""
+    slot is regular, all tested at the width the slots' own largest entry
+    needs."""
     v = CrysCharTuple._from_plan(datum, p.q, p.f, slots)
     if not (kernel_membership(p.w, v) and reduction(v) == p.vbar):
         raise InternalConsistencyError(f"{what} failed re-verification")
@@ -291,7 +299,7 @@ def _checked_lift(datum: RootDatum, p: TameInertialPair,
         tuple=v,
         kernel_checked=True,
         reduction_checked=True,
-        regular=all(is_regular_cochar(datum, s) for s in v.slots),
+        regular=_all_regular(datum, slots),
         **fields,
     )
 

@@ -26,6 +26,8 @@ from .errors import InternalConsistencyError, MultisetDivisionError
 from .lattice import Vec, vec_add, vec_neg, vec_scale, zero_vec
 from .root_datum import (
     RootDatum,
+    _all_regular,
+    _require_cochar,
     canonical_regular_cochar,  # re-exported
     is_regular_cochar,
     root_pairings,
@@ -55,7 +57,12 @@ def ht_type(v: CrysCharTuple) -> HTType:
 
 
 def is_ht_regular(datum: RootDatum, t: HTType) -> bool:
-    return all(is_regular_cochar(datum, c) for c in t.cochars)
+    """True when every colabel's cocharacter is regular: one zero-field
+    test per slot, all at the width the type's largest entry needs.
+    Raises ValueError as `root_pairings` does."""
+    for c in t.cochars:
+        _require_cochar(datum, c)
+    return _all_regular(datum, t.cochars)
 
 
 def ht_to_dict(t: HTType) -> dict:

@@ -8,7 +8,8 @@ the cocharacter lattice; the contragredient action permutes the roots.
 Conventions:
   * characters and cocharacters are integer row tuples of length `rank`;
   * <x, y> = x^T * pairing * y; root_functionals holds alpha^T * pairing
-    for each root alpha, so root_pairings(datum, y) lists every <alpha, y>;
+    for each root alpha, so root_pairings(datum, y) lists every <alpha, y>,
+    read off one big-int product with the functionals packed column-wise;
   * the root list is sorted lexicographically, so serialization is canonical
     and root indices are stable.
 """
@@ -17,7 +18,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 
 from .errors import DatumValidationError, GuardError, InternalConsistencyError
 from .lattice import (
@@ -143,18 +145,84 @@ def root_functionals(datum: RootDatum) -> Mat:
 
 
 def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
-    """<alpha, cochar> for every root alpha, in root order."""
+    """<alpha, cochar> for every root alpha, in root order, read off the
+    fields of one packed product (see `_packed_functionals`).  Raises
+    ValueError for a vector of the wrong length or with an entry that is
+    not an int (a float, bool or Fraction)."""
+    _require_cochar(datum, cochar)
+    columns, _, high, k = _packed_functionals(
+        datum, max(map(abs, cochar)) if cochar else 0)
+    # field i of the product is <alpha_i, cochar> + 2^(k-1), in [1, 2^k)
+    packed = sum(map(mul, cochar, columns)) + high
+    mask, half = (1 << k) - 1, 1 << k - 1
+    return tuple([(packed >> shift & mask) - half
+                  for shift in range(0, k * len(datum.roots), k)])
+
+
+def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
+    """True when no root pairs to zero with the cocharacter.  Raises
+    ValueError as `root_pairings` does."""
+    _require_cochar(datum, cochar)
+    return _all_regular(datum, (cochar,))
+
+
+def _require_cochar(datum: RootDatum, cochar: Vec) -> None:
     if len(cochar) != datum.rank:
         raise ValueError(
             f"dimension mismatch: expected rank {datum.rank}, "
             f"got {len(cochar)}")
-    return tuple([sum(map(mul, row, cochar))
-                  for row in root_functionals(datum)])
+    for entry in cochar:
+        if type(entry) is not int and not is_strict_int(entry):
+            raise ValueError(
+                f"cocharacter entry {entry!r} is not an integer")
 
 
-def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
-    """True when no root pairs to zero with the cocharacter."""
-    return 0 not in root_pairings(datum, cochar)
+def _all_regular(datum: RootDatum, cochars) -> bool:
+    """True when every cocharacter is regular.  All are tested at the one
+    width their largest entry needs, each by one packed product and one
+    zero-field test: with every field of P = sum_c y_c . column_c + high in
+    [1, 2^k), field i of x = P xor high is 0 exactly when <alpha_i, y> is,
+    and (x - low) & ~x & high is nonzero exactly when some field of x is 0
+    (no field borrows unless one below it is 0).  The entries are not
+    checked: there must be at least one cocharacter, each `rank` ints."""
+    columns, low, high, _ = _packed_functionals(datum, max(
+        map(abs, chain.from_iterable(cochars))) if datum.rank else 0)
+    for cochar in cochars:
+        x = (sum(map(mul, cochar, columns)) + high) ^ high
+        if (x - low) & ~x & high:
+            return False
+    return True
+
+
+def _packed_functionals(datum: RootDatum,
+                        size: int) -> tuple[Vec, int, int, int]:
+    """The root functionals packed for vectors whose entries are at most
+    `size` in absolute value: (columns, low, high, k).  Column c is
+    sum_i F[i][c] . 2^(k.i) for the functionals F, so sum_c y_c . column_c
+    holds <alpha_i, y> in field i; low has a 1 and high a 2^(k-1) in each
+    field.  k is the least power of two with 2^(k-1) > (largest L1 norm of
+    a functional) . size, which bounds every |<alpha, y>|.  The datum's
+    memo holds that norm and the entries, one memo lookup per call; the
+    entries are keyed by k alone, so a datum holds at most log2(widest k)
+    + 1 of them, whatever the sizes it has paired."""
+    try:
+        norm, widths = datum._memo[_packed_functionals]
+    except KeyError:
+        norm = max([sum(map(abs, row)) for row in root_functionals(datum)],
+                   default=0)
+        widths = {}
+        datum._memo[_packed_functionals] = norm, widths
+    k = 1 << (norm * size).bit_length().bit_length()
+    try:
+        return widths[k]
+    except KeyError:
+        functionals = root_functionals(datum)
+        shifts = range(0, k * len(functionals), k)
+        low = ((1 << k * len(functionals)) - 1) // ((1 << k) - 1)
+        columns = tuple([sum(map(lshift, column, shifts))
+                         for column in zip(*functionals)])
+        entry = widths[k] = (columns, low, low << k - 1, k)
+        return entry
 
 
 @per_datum
@@ -245,9 +313,9 @@ def _check_axioms(datum: RootDatum) -> None:
     # them in its memo and a rejected one takes them with it
     root_index = _root_index_map(datum)
     coroot_index = _coroot_index_map(datum)
-    # cartan[i][j] = <alpha_i, alpha_j^vee>: each pairing computed once
-    cartan = [[dot(row, c) for c in datum.coroots]
-              for row in root_functionals(datum)]
+    # cartan[i][j] = <alpha_i, alpha_j^vee>: column j pairs every root
+    # with coroot j, so each pairing is computed once
+    cartan = tuple(zip(*[root_pairings(datum, c) for c in datum.coroots]))
     for i, (alpha, alpha_v) in enumerate(zip(datum.roots, datum.coroots)):
         if cartan[i][i] != 2:
             bad("pair-root-coroot", f"<{alpha}, {alpha_v}> != 2")

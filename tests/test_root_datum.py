@@ -618,21 +618,29 @@ def test_used_datum_pickles_with_an_empty_memo():
 def test_axiom_check_computes_each_pairing_once(monkeypatch):
     import tamelift.root_datum as rd
 
-    calls = []
+    dots, pairings = [], []
 
-    def counting_dot(u, v):
-        calls.append(1)
-        return dot(u, v)
+    def counting(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
 
     # the preset's own closure pairs roots too: count the validation alone
     built = build_root_datum("Sp6")
-    monkeypatch.setattr(rd, "dot", counting_dot)
+    monkeypatch.setattr(rd, "dot", counting(dots, rd.dot))
+    monkeypatch.setattr(rd, "root_pairings", counting(pairings,
+                                                      rd.root_pairings))
     sp6 = make_root_datum(built.rank, built.roots, built.coroots,
                           built.pairing, built.simple_roots, built.label)
-    # one <alpha, beta^vee> per ordered pair of roots, read off the root
-    # functionals that the check leaves in the memo with the other tables
-    # it served
-    assert len(calls) == len(sp6.roots) ** 2 == 324
-    memoized = {key[0].__name__ for key in sp6._memo}
-    assert memoized == {"root_functionals", "_root_index_map",
+    # one packed pairing per coroot gives a column of <alpha, beta^vee>
+    # for every root: each pairing once, and no dot product of its own
+    assert [args[1] for args in pairings] == list(sp6.coroots)
+    assert len(pairings) == len(sp6.roots) == 18 and dots == []
+    # the check leaves the root functionals and their packing in the memo
+    # with the other tables it served
+    memoized = {(key[0] if isinstance(key, tuple) else key).__name__
+                for key in sp6._memo}
+    assert memoized == {"root_functionals", "_packed_functionals",
+                        "_root_index_map",
                         "_coroot_index_map", "simple_root_coords"}

@@ -157,15 +157,17 @@ def test_integer_kernels_sum_no_generator_expressions():
     # sum(map(operator.mul, ...)) runs the products in C; a generator
     # expression inside sum runs them one Python frame step at a time.
     # The exhaustive count's helpers are the hot loops of its packed
-    # residues
-    functions = {"root_datum.py": ("root_pairings",),
+    # residues, and the packed pairing's product, zero-field test and
+    # packing are those of every root pairing
+    functions = {"root_datum.py": ("root_pairings", "_all_regular",
+                                   "_packed_functionals"),
                  "crystalline_lift.py": ("_count_kernel_mod",
                                          "_residue_counts")}
     kernels = [ast.parse((PACKAGE_DIR / "lattice.py").read_text())] + [
         node for file, names in functions.items()
         for node in ast.walk(ast.parse((PACKAGE_DIR / file).read_text()))
         if isinstance(node, ast.FunctionDef) and node.name in names]
-    assert len(kernels) == 4
+    assert len(kernels) == 6
     offenders = [node.lineno for tree in kernels for node in ast.walk(tree)
                  if isinstance(node, ast.Call)
                  and getattr(node.func, "id", None) == "sum"
@@ -197,3 +199,22 @@ def test_plan_tuple_constructor_is_called_only_by_checked_lift():
     inside = _references(checked_lift, "_from_plan")
     assert len(inside) == 1
     assert references == {"crystalline_lift.py": inside}
+
+
+def test_root_functionals_are_read_only_by_the_packing_and_three_tables():
+    # every root pairing goes through the packed product, so the plain
+    # functionals are read only where a table is built from them: the
+    # packing itself, the simple coreflections, the root permutation of a
+    # matrix and the standard parabolic cocharacters
+    readers = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name != "root_functionals"
+                    and _references(node, "root_functionals")):
+                readers.add((path.name, node.name))
+    assert readers == {("root_datum.py", "_packed_functionals"),
+                       ("root_datum.py", "simple_coreflections"),
+                       ("root_datum.py", "_root_permutation_cached"),
+                       ("tame_reps.py", "_standard_parabolic_cochars")}
