@@ -10,6 +10,7 @@ from __future__ import annotations
 from .crystalline_lift import (
     CrysCharTuple,
     LiftResult,
+    RegularLiftResult,
     averaged_scale_matrix,
     frobenius_shift,
     kernel_membership,
@@ -17,6 +18,7 @@ from .crystalline_lift import (
     lift_to_dict,
     make_crys_tuple,
     reduction,
+    regular_lift,
     simple_trick_check,
     weyl_act,
     xi_operator,
@@ -43,7 +45,6 @@ from .hodge_tate import (
     EmbeddingProfile,
     HTType,
     IntMultiset,
-    RegularLiftResult,
     canonical_regular_cochar,
     galois_twist,
     gl_colabeled_multisets,
@@ -54,7 +55,6 @@ from .hodge_tate import (
     labeled_from_colabeled,
     make_unramified_profile,
     multiset_divide,
-    regular_lift,
     regular_seed,
 )
 from .jsonio import canonical_json, load_json_file

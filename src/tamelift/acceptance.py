@@ -13,15 +13,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from .crystalline_lift import (
-    _lift_plan,
+    averaged_scale_matrix,
     kernel_membership,
     lift_inertia,
     reduction,
+    regular_lift,
     simple_trick_check,
 )
 from .dynamic import chamber_sum, parabolic_of
 from .fixtures import run_fixture_suite
-from .hodge_tate import ht_type, is_ht_regular, regular_lift
+from .hodge_tate import ht_type, is_ht_regular
 from .lattice import identity_matrix, mat_pow, mat_vec, vec_add, vec_scale
 from .root_datum import (
     RootDatum,
@@ -111,16 +112,14 @@ def _lift_sweep():
 
 def _lift_cases(seed: int):
     """Yield (preset, datum, pair) for LIFT_SAMPLES valid pairs per lift-sweep
-    configuration: vbar is the averaged matrix of the configuration's lift
-    plan applied to a random x mod N, which always lands in the kernel of
-    (q - w) mod N."""
+    configuration: vbar is the averaged scale matrix applied to a random
+    x mod N, which always lands in the kernel of (q - w) mod N."""
     rng = random.Random(seed)
     for preset, datum, q, f, w in _lift_sweep():
-        plan = _lift_plan(datum, w, q, f)
+        xi_bar, n = averaged_scale_matrix(w.matrix, q, f), q ** f - 1
         for _ in range(LIFT_SAMPLES):
-            x = tuple(rng.randrange(plan.modulus) for _ in range(datum.rank))
-            yield preset, datum, make_pair(datum, q, f,
-                                           mat_vec(plan.xi_bar, x), w)
+            x = tuple(rng.randrange(n) for _ in range(datum.rank))
+            yield preset, datum, make_pair(datum, q, f, mat_vec(xi_bar, x), w)
 
 
 def _pair_label(preset: str, p) -> str:

@@ -19,10 +19,10 @@ import json
 import os
 import sys
 
-from .crystalline_lift import lift_inertia, lift_to_dict, reduction
+from .crystalline_lift import lift_inertia, lift_to_dict, regular_lift
 from .dynamic import parabolic_to_dict
 from .errors import TameliftError
-from .hodge_tate import ht_to_dict, ht_type, regular_lift
+from .hodge_tate import ht_to_dict, ht_type
 from .jsonio import canonical_json, load_json_file
 from .root_datum import (
     build_root_datum,
@@ -215,10 +215,10 @@ def _cmd_irreducible(args) -> int:
 
 
 def _emit_lift(p, out, args, multiplier=None) -> int:
-    red = reduction(out.tuple)
+    # the lift's reduction is vbar: the lift re-verified it
     if args.format == "json":
         payload = lift_to_dict(out)
-        payload["reduction"] = list(red)
+        payload["reduction"] = list(p.vbar)
         if multiplier is not None:
             payload["seed_multiplier"] = multiplier
         _emit_json(payload)
@@ -228,7 +228,7 @@ def _emit_lift(p, out, args, multiplier=None) -> int:
         print(f"slot {j}: {_fmt_vec(slot)}")
     if multiplier is not None:
         print(f"seed multiplier: {multiplier}")
-    print(f"reduction: {_fmt_vec(red)}")
+    print(f"reduction: {_fmt_vec(p.vbar)}")
     print(f"checks: kernel {_yn(out.kernel_checked)}, "
           f"reduction {_yn(out.reduction_checked)}, "
           f"regular {_yn(out.regular)}")

@@ -5,15 +5,16 @@ A crystalline character tuple assigns one cocharacter to each of the f
 unramified embedding slots.  A Frobenius shift rotates the slots; the
 averaging operator xi sums Weyl-twisted shifts so that its output always
 satisfies the kernel condition w . slot_j = slot_{j-1}.  Reducing a tuple
-collapses it to a single cocharacter vector mod N = q^f - 1, and the lift
-algorithm inverts that reduction on compatible pairs.
+collapses it to a single cocharacter vector mod N = q^f - 1.  The lifts
+invert that reduction on compatible pairs, the regular lift with every
+slot regular, both from one cached plan per configuration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
-from operator import mul
+from operator import mod, mul, not_
 
 from .errors import (
     GuardError,
@@ -207,7 +208,7 @@ class _LiftPlan:
     computed once here.  The regular seed s = canonical_regular_cochar
     needs one slot's steps only: each M_j lies in W and so permutes the
     roots, and the pairings of every slot are those of slot 0 reordered
-    (see `hodge_tate.regular_lift`)."""
+    (see `regular_lift`)."""
 
     modulus: int
     xi_bar: Mat  # averaged_scale_matrix
@@ -313,6 +314,49 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
     """
     plan, x = _solve_seed(datum, p)
     return _checked_lift(datum, p, plan.slots(x), "constructed lift")
+
+
+@dataclass(frozen=True)
+class RegularLiftResult(LiftResult):
+    """A lift made Hodge-Tate regular by adding seed_multiplier . N times
+    the averaged canonical seed."""
+
+    seed_multiplier: int
+
+
+def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
+    """Hodge-Tate regular lift with the same reduction.
+
+    Adds C . N times the averaged seed to the base lift, slot by slot, for
+    the smallest C >= 0 making every colabel regular.  Both are lifts from
+    a slot-0 seed: the base from the solved x, the averaged seed from the
+    regular s, so the sum is the lift from x + C . N . s, whose slot j is
+    M_j . x + C . N . M_j . s.  Root alpha pairs with it as P + C . N . A,
+    where P = <alpha, M_j . x> and A = <alpha, M_j . s> is never 0, so
+    each (root, slot) forbids at most one C, namely -P / (N . A) when that
+    is an integer.  Each M_j lies in W and permutes the roots, so over all
+    roots the pairs (P, A) of slot j are those of slot 0, (<alpha, x>,
+    <alpha, s>), reordered: every slot forbids the same values, and the
+    root pairings of x against the plan's seed steps N . <alpha, s> give
+    the least C none forbids in closed form, before any slot is built and
+    with no C tried.  The returned tuple's kernel condition, reduction and
+    the regularity of every slot are re-verified.
+    """
+    plan, x = _solve_seed(datum, p)
+    steps = plan.seed_steps
+    pairings = root_pairings(datum, x)
+    divisible = map(not_, map(mod, pairings, steps))
+    forbidden = {-a // b for a, b in compress(zip(pairings, steps), divisible)}
+    c = 0
+    while c in forbidden:
+        c += 1
+    shifted = vec_add(x, vec_scale(c * plan.modulus, plan.seed))
+    lift = _checked_lift(datum, p, plan.slots(shifted), "regularized lift",
+                         RegularLiftResult, seed_multiplier=c)
+    if not lift.regular:
+        raise InternalConsistencyError(
+            "regularized lift failed re-verification")
+    return lift
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,34 @@
-"""Hodge-Tate types of crystalline tuples, regularization, and the
+"""Hodge-Tate types of crystalline tuples, their regularity, and the
 labeled/colabeled multiset calculus.
 
 The Hodge-Tate type of a tuple negates its slots (the Lubin-Tate character
 carries weight -1 at the identity colabel, the cyclotomic character carries
-weight -1).  Regularization adds a large multiple of an averaged regular
-seed to a lift, leaving its reduction untouched while clearing every root
-pairing.  The multiset half of the module implements weight bookkeeping for
-a coefficient field larger than the base: colabeled data lives on embedding
-colabels, labeled data is the fiberwise union divided by the degree.
+weight -1).  The regular lift itself is built in `crystalline_lift`, beside
+the plan it reads, and re-exported here.  The multiset half of the module
+implements weight bookkeeping for a coefficient field larger than the base:
+colabeled data lives on embedding colabels, labeled data is the fiberwise
+union divided by the degree.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import mod, not_
+from itertools import chain, filterfalse
 
 from .crystalline_lift import (
     CrysCharTuple,
-    LiftResult,
-    _checked_lift,
-    _solve_seed,
+    RegularLiftResult,  # re-exported
+    regular_lift,  # re-exported
 )
-from .errors import InternalConsistencyError, MultisetDivisionError
-from .lattice import Vec, vec_add, vec_neg, vec_scale, zero_vec
+from .errors import MultisetDivisionError
+from .lattice import Vec, is_strict_int, vec_neg, zero_vec
 from .root_datum import (
     RootDatum,
     _all_regular,
     _require_cochar,
     canonical_regular_cochar,  # re-exported
     is_regular_cochar,
-    root_pairings,
 )
-from .tame_reps import TameInertialPair
 
 
 @dataclass(frozen=True)
@@ -43,11 +39,15 @@ class HTType:
     cochars: tuple[Vec, ...]
 
     def __post_init__(self):
+        if not is_strict_int(self.f):
+            raise ValueError(f"f must be an integer, got {self.f!r}")
         if self.f < 1 or len(self.cochars) != self.f:
             raise ValueError(
                 f"expected {self.f} cocharacters, got {len(self.cochars)}")
-        object.__setattr__(self, "cochars",
-                           tuple(tuple(c) for c in self.cochars))
+        cochars = tuple(tuple(c) for c in self.cochars)
+        for entry in filterfalse(is_strict_int, chain.from_iterable(cochars)):
+            raise ValueError(f"cocharacter entry {entry!r} is not an integer")
+        object.__setattr__(self, "cochars", cochars)
 
 
 def ht_type(v: CrysCharTuple) -> HTType:
@@ -84,49 +84,6 @@ def regular_seed(datum: RootDatum, q: int, f: int, colabel: int,
     return CrysCharTuple(datum=datum, q=q, f=f, slots=tuple(slots))
 
 
-@dataclass(frozen=True)
-class RegularLiftResult(LiftResult):
-    """A lift made Hodge-Tate regular by adding seed_multiplier . N times
-    the averaged canonical seed."""
-
-    seed_multiplier: int
-
-
-def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
-    """Hodge-Tate regular lift with the same reduction.
-
-    Adds C . N times the averaged seed to the base lift, slot by slot, for
-    the smallest C >= 0 making every colabel regular.  Both are lifts from
-    a slot-0 seed: the base from the solved x, the averaged seed from the
-    regular s, so the sum is the lift from x + C . N . s, whose slot j is
-    M_j . x + C . N . M_j . s.  Root alpha pairs with it as P + C . N . A,
-    where P = <alpha, M_j . x> and A = <alpha, M_j . s> is never 0, so
-    each (root, slot) forbids at most one C, namely -P / (N . A) when that
-    is an integer.  Each M_j lies in W and permutes the roots, so over all
-    roots the pairs (P, A) of slot j are those of slot 0, (<alpha, x>,
-    <alpha, s>), reordered: every slot forbids the same values, and the
-    root pairings of x against the plan's seed steps N . <alpha, s> give
-    the least C none forbids in closed form, before any slot is built and
-    with no C tried.  The returned tuple's kernel condition, reduction and
-    the regularity of every slot are re-verified.
-    """
-    plan, x = _solve_seed(datum, p)
-    steps = plan.seed_steps
-    pairings = root_pairings(datum, x)
-    divisible = map(not_, map(mod, pairings, steps))
-    forbidden = {-a // b for a, b in compress(zip(pairings, steps), divisible)}
-    c = 0
-    while c in forbidden:
-        c += 1
-    shifted = vec_add(x, vec_scale(c * plan.modulus, plan.seed))
-    lift = _checked_lift(datum, p, plan.slots(shifted), "regularized lift",
-                         RegularLiftResult, seed_multiplier=c)
-    if not lift.regular:
-        raise InternalConsistencyError(
-            "regularized lift failed re-verification")
-    return lift
-
-
 # ---------------------------------------------------------------------------
 # integer multisets
 
@@ -138,7 +95,10 @@ class IntMultiset:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(sorted(self.items)))
+        items = tuple(sorted(self.items))
+        for entry in filterfalse(is_strict_int, items):
+            raise ValueError(f"multiset entry {entry!r} is not an integer")
+        object.__setattr__(self, "items", items)
 
     @property
     def size(self) -> int:
@@ -153,8 +113,8 @@ class IntMultiset:
 
 def multiset_divide(m: IntMultiset, s: int) -> IntMultiset:
     """Divide every multiplicity by s; each must be divisible."""
-    if s < 1:
-        raise ValueError(f"divisor must be a positive integer, got {s}")
+    if not is_strict_int(s) or s < 1:
+        raise ValueError(f"divisor must be a positive integer, got {s!r}")
     out = []
     for value, count in sorted(m.counts().items()):
         quotient, rem = divmod(count, s)

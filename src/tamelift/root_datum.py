@@ -44,6 +44,7 @@ from .lattice import (
 )
 
 PRESET_RANK_CAP = 8
+WEYL_GROUP_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -661,28 +662,12 @@ def root_permutation(datum: RootDatum, w: WeylElement) -> tuple[int, ...]:
     return _root_permutation_cached(datum, w.matrix)
 
 
-def weyl_group_elements(datum: RootDatum, limit: int = 10000) -> tuple[WeylElement, ...]:
+@per_datum
+def weyl_group_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
     """Enumerate the full Weyl group by breadth-first closure of the simple
     coreflections.  Deterministic: elements come out in shortest-word order,
-    ties broken by generator index.  Enumerated once per datum; `limit` is a
-    guard on the group's size, checked against that one enumeration."""
-    # memoized under the enumerator alone: whatever limit the first full
-    # enumeration carried, later calls only compare the size with theirs
-    elements = datum._memo.get(_enumerate_weyl_group)
-    if elements is None:
-        elements = datum._memo[_enumerate_weyl_group] = \
-            _enumerate_weyl_group(datum, limit)
-    if len(elements) > limit:
-        raise _weyl_limit_error(datum, limit)
-    return elements
-
-
-def _weyl_limit_error(datum: RootDatum, limit: int) -> GuardError:
-    return GuardError(
-        f"Weyl group of {datum.label} exceeds enumeration limit {limit}")
-
-
-def _enumerate_weyl_group(datum: RootDatum, limit: int) -> tuple[WeylElement, ...]:
+    ties broken by generator index.  Raises GuardError, storing nothing, as
+    soon as the group passes WEYL_GROUP_CAP elements."""
     gens = simple_coreflections(datum)
     ident = identity_matrix(datum.rank)
     seen = {ident: ()}
@@ -696,12 +681,17 @@ def _enumerate_weyl_group(datum: RootDatum, limit: int) -> tuple[WeylElement, ..
                 if nxt not in seen:
                     seen[nxt] = word + (i,)
                     new_frontier.append(nxt)
-                    if len(seen) > limit:
-                        raise _weyl_limit_error(datum, limit)
+                    if len(seen) > WEYL_GROUP_CAP:
+                        raise _weyl_limit_error(datum, WEYL_GROUP_CAP)
         frontier = new_frontier
     elements = [WeylElement(matrix=m, word=w) for m, w in seen.items()]
     elements.sort(key=lambda e: (len(e.word), e.word))
     return tuple(elements)
+
+
+def _weyl_limit_error(datum: RootDatum, limit: int) -> GuardError:
+    return GuardError(
+        f"Weyl group of {datum.label} exceeds enumeration limit {limit}")
 
 
 @per_datum

@@ -1,14 +1,19 @@
-"""Full acceptance sweeps, one test per criterion.
+"""Full acceptance sweeps, one test per criterion, and the pinned inputs of
+the lift sweep.
 
-Each test prints a single ACCEPTANCE line (visible under pytest -s, or in
-the captured stdout of a failing test) and asserts the criterion passed.
+Each criterion test prints a single ACCEPTANCE line (visible under pytest
+-s, or in the captured stdout of a failing test) and asserts the criterion
+passed.
 """
 from __future__ import annotations
 
+import hashlib
 import time
 
 from tamelift.acceptance import (
     CRITERION_NAMES,
+    DEFAULT_SEED,
+    _lift_cases,
     run_criterion_1,
     run_criterion_2,
     run_criterion_3,
@@ -17,6 +22,13 @@ from tamelift.acceptance import (
     run_criterion_6,
     run_criterion_7,
 )
+from tamelift.jsonio import canonical_json
+
+# sha256 of the canonical JSON list of [preset, q, f, w.word, vbar] over every
+# pair of the lift sweep at the default seed, as first recorded.  Criteria 1
+# and 4 report only counts, so this pins the inputs they run on
+LIFT_CASES_DIGEST = (
+    "3a766f8e4428699a8535e4c3b6d62240c202c3d64b37996afd96722eab6d0d14")
 
 
 def _report(number, criterion):
@@ -55,3 +67,11 @@ def test_acceptance_6_niveau_power_identity():
 
 def test_acceptance_7_chamber_sum_invariance():
     _report(7, run_criterion_7)
+
+
+def test_lift_sweep_pairs_are_pinned():
+    rows = [[preset, p.q, p.f, list(p.w.word), list(p.vbar)]
+            for preset, _, p in _lift_cases(DEFAULT_SEED)]
+    assert len(rows) == 15600
+    digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    assert digest == LIFT_CASES_DIGEST

@@ -8,8 +8,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_tame_reps import spy_everywhere
 
-from tamelift import errors
+from tamelift import crystalline_lift, errors
 from tamelift.cli import main
 from tamelift.fixtures import FIXTURE_BUILDERS
 from tamelift.jsonio import canonical_json
@@ -54,6 +55,17 @@ def test_regular_lift_zero_vbar(capsys):
     assert "seed multiplier: 1\n" in out
     assert "reduction: (0, 0)\n" in out
     assert "regular yes" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["lift", "regular-lift"])
+def test_lift_commands_reduce_once(command, fmt, monkeypatch, capsys):
+    # the lift's own re-verification reduces it; the printed reduction is
+    # the vbar it was checked against
+    calls = []
+    spy_everywhere(monkeypatch, crystalline_lift.reduction, calls)
+    code, _, _ = run([command, *GL2_PAIR, "--format", fmt], capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_datum_table_lists_roots(capsys):

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,22 @@ def test_ht_type_guards():
         HTType(f=2, cochars=((1, 0),))
     with pytest.raises(ValueError):
         HTType(f=0, cochars=())
+
+
+NON_INTS = [1.0, 2.5, True, Fraction(1), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("entry", NON_INTS)
+def test_ht_type_refuses_non_int_entries(entry):
+    with pytest.raises(ValueError, match=f"^cocharacter entry "
+                       f"{re.escape(repr(entry))} is not an integer$"):
+        HTType(f=2, cochars=((1, 0), (entry, 0)))
+
+
+@pytest.mark.parametrize("f", [1.0, True, Fraction(1)])
+def test_ht_type_refuses_non_int_degree(f):
+    with pytest.raises(ValueError, match="^f must be an integer"):
+        HTType(f=f, cochars=((1, 0),))
 
 
 def test_is_ht_regular_examples():
@@ -521,6 +539,19 @@ def test_multiset_divide_examples():
         multiset_divide(IntMultiset((1, 1, 2)), 2)
     with pytest.raises(ValueError):
         multiset_divide(m, 0)
+
+
+@pytest.mark.parametrize("entry", NON_INTS)
+def test_multiset_refuses_non_int_entries(entry):
+    with pytest.raises(ValueError, match=f"^multiset entry "
+                       f"{re.escape(repr(entry))} is not an integer$"):
+        IntMultiset((1, entry, 2))
+
+
+@pytest.mark.parametrize("divisor", [2.0, True, Fraction(2)])
+def test_multiset_divide_refuses_non_int_divisor(divisor):
+    with pytest.raises(ValueError, match="^divisor must be a positive integer"):
+        multiset_divide(IntMultiset((1, 1)), divisor)
 
 
 def test_unramified_profile():

@@ -27,6 +27,7 @@ from tamelift.hodge_tate import regular_lift
 from tamelift.jsonio import canonical_json
 from tamelift.lattice import dot, integer_kernel_basis, mat_pow, mat_vec
 from tamelift.root_datum import (
+    WEYL_GROUP_CAP,
     WeylElement,
     build_root_datum,
     datum_from_dict,
@@ -545,14 +546,17 @@ def test_weyl_group_enumerated_once_per_datum():
     gl3 = build_root_datum("GL3")
     fresh = make_root_datum(gl3.rank, gl3.roots, gl3.coroots, gl3.pairing,
                             gl3.simple_roots, label="GL3/enumeration-test")
-    with pytest.raises(GuardError, match="exceeds enumeration limit 5"):
-        weyl_group_elements(fresh, 5)
-    elements = weyl_group_elements(fresh, 6)
+    elements = weyl_group_elements(fresh)
     assert len(elements) == 6
     assert weyl_group_elements(fresh) is elements
-    assert weyl_group_elements(fresh, 1152) is elements
-    with pytest.raises(GuardError, match="exceeds enumeration limit 5"):
-        weyl_group_elements(fresh, 5)
+    # |W(Sp12)| = 46,080: the enumeration stops past the cap, storing nothing
+    sp12 = build_root_datum("Sp12")
+    with pytest.raises(GuardError, match=f"^Weyl group of Sp12 exceeds "
+                       f"enumeration limit {WEYL_GROUP_CAP}$"):
+        weyl_group_elements(sp12)
+    assert WEYL_GROUP_CAP == 10_000
+    assert not [key for key in sp12._memo if isinstance(key, tuple)
+                and key[0] is weyl_group_elements.__wrapped__]
 
 
 def test_datum_memo_stays_out_of_equality():

@@ -218,3 +218,49 @@ def test_root_functionals_are_read_only_by_the_packing_and_three_tables():
                        ("root_datum.py", "simple_coreflections"),
                        ("root_datum.py", "_root_permutation_cached"),
                        ("tame_reps.py", "_standard_parabolic_cochars")}
+
+
+def _owners(name):
+    """(file, owner) for every reference to name in the package, where owner
+    is the module-level function or Class.method holding it, or <module>."""
+    owners = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                members = [(f"{top.name}.{node.name}"
+                            if isinstance(node, ast.FunctionDef)
+                            else top.name, node) for node in top.body]
+            else:
+                members = [(getattr(top, "name", "<module>"), top)]
+            owners |= {(path.name, owner) for owner, node in members
+                       if _references(node, name)}
+    return owners
+
+
+@pytest.mark.parametrize("name", ["_lift_plan", "_LiftPlan", "_solve_seed",
+                                  "_checked_lift"])
+def test_lift_plan_is_read_only_inside_its_module(name):
+    # the plan's layout is one module's decision: the lifts, the
+    # regularization and the exactness check all live beside it
+    assert {file for file, _ in _owners(name)} == {"crystalline_lift.py"}
+
+
+def test_datum_memo_is_touched_only_by_its_owners():
+    # per_datum is the one way a table enters the memo; the datum creates
+    # and drops it, and the packed functionals keep their own entry
+    assert _owners("_memo") == {
+        ("root_datum.py", "RootDatum.__post_init__"),
+        ("root_datum.py", "RootDatum.__getstate__"),
+        ("root_datum.py", "per_datum"),
+        ("root_datum.py", "_packed_functionals"),
+    }
+
+
+def test_regular_lift_is_reexported_as_one_object():
+    # the benchmark's tracer finds a function under every module name that
+    # binds it, so the hodge_tate names must be the crystalline_lift objects
+    from tamelift import crystalline_lift, hodge_tate
+    assert hodge_tate.regular_lift is crystalline_lift.regular_lift
+    assert hodge_tate.RegularLiftResult is crystalline_lift.RegularLiftResult
+    assert tamelift.regular_lift is crystalline_lift.regular_lift
