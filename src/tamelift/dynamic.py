@@ -40,9 +40,15 @@ def parabolic_of(datum: RootDatum, cochar: Vec) -> ParabolicType:
 
 def split_by_sign(pairings: Vec) -> tuple[frozenset[int], ...]:
     """The (nonnegative, zero, positive) index sets of a pairing vector:
-    a parabolic's root set, its Levi and its unipotent radical."""
-    levi = frozenset([i for i, v in enumerate(pairings) if v == 0])
-    unipotent = frozenset([i for i, v in enumerate(pairings) if v > 0])
+    a parabolic's root set, its Levi and its unipotent radical, from one
+    pass over the pairings."""
+    levi, unipotent = [], []
+    for i, v in enumerate(pairings):
+        if v > 0:
+            unipotent.append(i)
+        elif v == 0:
+            levi.append(i)
+    levi, unipotent = frozenset(levi), frozenset(unipotent)
     return levi | unipotent, levi, unipotent
 
 

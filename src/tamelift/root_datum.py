@@ -81,15 +81,16 @@ class RootDatum:
 def per_datum(fn):
     """Cache fn(datum, *args) in the datum's memo: computed once per datum
     and argument tuple, and released with the datum.  A call that raises
-    caches nothing."""
+    caches nothing.  Keyword arguments reach fn but not the key: they may
+    decide whether a first call raises (a guard), never the value."""
     @functools.wraps(fn)
-    def cached(datum, *args):
+    def cached(datum, *args, **guard):
         memo = datum._memo
         key = (fn, args)
         try:
             return memo[key]
         except KeyError:
-            value = memo[key] = fn(datum, *args)
+            value = memo[key] = fn(datum, *args, **guard)
             return value
     return cached
 
@@ -639,21 +640,23 @@ def _root_permutation_cached(datum: RootDatum, matrix: Mat) -> tuple[int, ...]:
     # root.  That root must pair with w(y) as alpha pairs with y, i.e. its
     # functional times the matrix is alpha's functional; the pairing is
     # nondegenerate, so this pins it down and makes the map injective.
+    # Column c of functionals . matrix pairs every root with column c of the
+    # matrix, so the pulled-back functionals (its rows) take r pairings.
     index = _coroot_index_map(datum)
+    perm = [index.get(mat_vec(matrix, alpha_v)) for alpha_v in datum.coroots]
+    if not perm:
+        return ()
     functionals = root_functionals(datum)
-    columns = tuple(zip(*matrix))
-    perm = []
-    for i, alpha_v in enumerate(datum.coroots):
-        j = index.get(mat_vec(matrix, alpha_v))
+    pulled_back = tuple(zip(*[root_pairings(datum, column)
+                              for column in zip(*matrix)]))
+    for i, j in enumerate(perm):
         if j is None:
-            raise ValueError(
-                f"matrix sends coroot {alpha_v} outside the coroot set")
-        pulled_back = tuple(dot(functionals[j], col) for col in columns)
-        if pulled_back != functionals[i]:
+            raise ValueError(f"matrix sends coroot {datum.coroots[i]} "
+                             f"outside the coroot set")
+        if pulled_back[j] != functionals[i]:
             raise ValueError(
                 f"matrix does not preserve the pairing at root "
                 f"{datum.roots[i]}")
-        perm.append(j)
     return tuple(perm)
 
 

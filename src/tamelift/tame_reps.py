@@ -9,6 +9,7 @@ w . vbar = q . vbar (mod N), entrywise in cocharacter coordinates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -153,13 +154,11 @@ class ValidityReport:
 
 
 def _congruence_failures(p: TameInertialPair) -> tuple[tuple[int, int, int], ...]:
-    n = p.modulus
-    weyl_side = vec_mod(p.w.apply(p.vbar), n)
-    scaled_side = vec_mod(vec_scale(p.q, p.vbar), n)
-    return tuple(
-        (i, a, b) for i, (a, b) in enumerate(zip(weyl_side, scaled_side))
-        if a != b
-    )
+    # the pair already matched vbar's length to the square matrix
+    n, q, vbar = p.modulus, p.q, p.vbar
+    sides = [(sum(map(operator.mul, row, vbar)) % n, q * x % n)
+             for row, x in zip(p.w.matrix, vbar)]
+    return tuple([(i, a, b) for i, (a, b) in enumerate(sides) if a != b])
 
 
 def validate_pair(datum: RootDatum, p: TameInertialPair) -> ValidityReport:
@@ -280,8 +279,10 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     datum, on the first oracle call, into a table of the distinct proper
     parabolics containing the torus: the W-orbit of each standard
     cocharacter, closed under the simple reflections (_torus_parabolics).
-    A call for a new w then only tests which table entries w's root
-    permutation maps onto themselves.  The fixed-space criterion of
+    The table keeps one int per root with a membership bit per entry, so a
+    call for a new w tests every entry's stability at once with one XOR per
+    root under w's root permutation; each entry's ParabolicType is built
+    the first time a call returns it.  The fixed-space criterion of
     is_G_irreducible plays no part.
 
     Only meaningful when the inertia centralizer roots are empty (then any
@@ -289,8 +290,12 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     and by |W|, which the table learns from the orbit of the regular
     standard cocharacter (|W| points); passing an explicit limit on |W|
     replaces the default guard (rank <= ORACLE_RANK_CAP and
-    |W| <= ORACLE_WEYL_CAP).
+    |W| <= ORACLE_WEYL_CAP).  The limit must be an int, not a bool or
+    float (ValueError).  The datum has one table whatever the limit, and
+    a call whose limit is below |W| raises GuardError, storing nothing.
     """
+    if limit is not None and not is_strict_int(limit):
+        raise ValueError(f"limit must be an integer, got {limit!r}")
     if inertia_centralizer_roots(datum, p):
         raise ValueError(
             "oracle requires empty inertia centralizer roots; some root "
@@ -301,7 +306,11 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
                 f"oracle out of range: rank {datum.rank} exceeds "
                 f"{ORACLE_RANK_CAP}; pass an explicit limit to override")
         limit = ORACLE_WEYL_CAP
-    return list(_stable_proper_parabolics(datum, p.w.matrix, limit))
+    # the table may predate this limit; a datum without roots walks no orbit
+    order, points, _, _ = _torus_parabolics(datum, limit=limit)
+    if points and order > limit:
+        raise _weyl_limit_error(datum, limit)
+    return list(_stable_proper_parabolics(datum, p.w.matrix, limit=limit))
 
 
 @per_datum
@@ -346,11 +355,13 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
 
 
 @per_datum
-def _torus_parabolics(datum: RootDatum, limit: int
-                      ) -> tuple[tuple[ParabolicType, tuple[bool, ...]], ...]:
-    """Every proper parabolic containing the torus, once each, sorted by
-    the sorted tuple of its nonnegative root indices, and with its
-    nonnegative set as a 0/1 indicator tuple over the roots.
+def _torus_parabolics(datum: RootDatum, *, limit: int) -> tuple:
+    """Every proper parabolic containing the torus, once each, as the
+    table (order, points, members, records).  points holds each
+    parabolic's (cochar, pairings), sorted by its nonnegative root indices;
+    bit e of members[i] is set when root i lies in parabolic e; records[e]
+    is parabolic e's ParabolicType, None until a call first returns it;
+    order is |W|, the size of the regular orbit.
 
     Each standard cocharacter mu pairs >= 0 with the simple roots, so it is
     the dominant point of its W-orbit, and every orbit point is reached
@@ -361,14 +372,16 @@ def _torus_parabolics(datum: RootDatum, limit: int
     The stabilizer of a standard parabolic in W fixes its mu, so the orbit
     points and the parabolics of that type correspond one to one.
 
-    The orbit of the regular cocharacter has |W| points; it is closed first,
-    and raises the GuardError of weyl_group_elements as soon as it passes
-    the limit.  A call that raises stores nothing."""
+    The orbit of the regular cocharacter is closed first, and raises the
+    GuardError of weyl_group_elements as soon as it passes the limit.  A
+    call that raises stores nothing.  The limit is a guard, not part of
+    the memo key: there is one table per datum, and a later call with a
+    smaller limit is refused by comparing it with order."""
     steps = [(s, datum.coroots[s],
               operator.itemgetter(*_root_permutation_cached(datum, g)))
              for s, g in zip(datum.simple_roots, simple_coreflections(datum))]
     cochars = _standard_parabolic_cochars(datum)
-    points = []
+    orbits = []
     for mu in cochars[-1:] + cochars[:-1]:
         orbit = {mu: root_pairings(datum, mu)}
         stack = [mu]
@@ -384,26 +397,41 @@ def _torus_parabolics(datum: RootDatum, limit: int
                         stack.append(image)
             if len(orbit) > limit:
                 raise _weyl_limit_error(datum, limit)
-        points.extend(orbit.items())
-    table = [(ParabolicType(lam, *split_by_sign(pairings)),
-              tuple([v >= 0 for v in pairings])) for lam, pairings in points]
-    table.sort(key=lambda entry: tuple(sorted(entry[0].nonneg_roots)))
-    return tuple(table)
+        orbits.append(orbit)
+    # the nonnegative index tuples are distinct, so they alone decide the sort
+    table = sorted((tuple([i for i, v in enumerate(pairings) if v >= 0]),
+                    lam, pairings)
+                   for orbit in orbits for lam, pairings in orbit.items())
+    members = [0] * len(datum.roots)
+    for e, (nonneg, _, _) in enumerate(table):
+        for i in nonneg:
+            members[i] |= 1 << e
+    return (len(orbits[0]) if orbits else 0, [entry[1:] for entry in table],
+            tuple(members), [None] * len(table))
 
 
 @per_datum
-def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat,
+def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat, *,
                               limit: int) -> tuple[ParabolicType, ...]:
     # w stabilizes a parabolic when its root permutation maps the
     # nonnegative roots onto themselves (normalizer_element_in_parabolic);
-    # the permutation is a bijection, so exactly when the permuted
-    # indicator tuple is the indicator tuple
+    # the permutation is a bijection, so exactly when no root and its image
+    # disagree on membership: the OR over i of members[i] ^ members[perm[i]]
+    # has bit e clear exactly for the stable parabolics e
+    _, points, members, records = _torus_parabolics(datum, limit=limit)
     perm = _root_permutation_cached(datum, w_matrix)
-    table = _torus_parabolics(datum, limit)
-    if not table:
-        return table  # no roots, so no proper parabolic
-    image = operator.itemgetter(*perm)
-    return tuple(par for par, mask in table if image(mask) == mask)
+    stable = ~functools.reduce(operator.or_, map(
+        operator.xor, members, map(members.__getitem__, perm)), 0)
+    stable &= (1 << len(points)) - 1
+    found = []
+    while stable:
+        e = (stable & -stable).bit_length() - 1
+        stable &= stable - 1
+        if records[e] is None:
+            lam, pairings = points[e]
+            records[e] = ParabolicType(lam, *split_by_sign(pairings))
+        found.append(records[e])
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

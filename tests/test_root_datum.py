@@ -13,6 +13,7 @@ import pickle
 import random
 import weakref
 
+import permutation_reference
 import pytest
 from fraction_reference import (
     REFERENCE_PRESETS,
@@ -540,6 +541,61 @@ def test_root_permutation_checks_the_pairing():
         root_permutation(gl2, WeylElement(shear))
     with pytest.raises(ValueError, match="does not preserve the pairing"):
         weyl_from_matrix(gl2, shear)
+
+
+def test_root_permutation_matches_the_per_root_reference():
+    for name in ["GL1", "GL2", "GL3", "GL4", "SL2", "SL3", "SL4", "Sp4",
+                 "Sp6", "SO5", "SO6", "SO7", "G2", "sheared-GL3"]:
+        datum = (sheared_gl3() if name == "sheared-GL3"
+                 else build_root_datum(name))
+        for w in weyl_group_elements(datum):
+            assert root_permutation(datum, w) == \
+                permutation_reference.root_permutation(datum, w.matrix)
+
+
+def elementary_products(rank, rng, count):
+    """count seeded products of one to four elementary matrices
+    1 +- E_ij: unimodular, and mostly not automorphisms of a datum."""
+    out = []
+    for _ in range(count):
+        matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(rank), 2)
+            sign = rng.choice((-1, 1))
+            for row in matrix:
+                row[j] += sign * row[i]
+        out.append(tuple(map(tuple, matrix)))
+    return out
+
+
+def test_root_permutation_refuses_as_the_reference_does():
+    # the first failing root names the error, and for that root the coroot
+    # check comes before the pairing check
+    rng = random.Random(26)
+    kinds = set()
+    for name in ["GL2", "GL3", "Sp4", "G2"]:
+        datum = build_root_datum(name)
+        matrices = elementary_products(datum.rank, rng, 40)
+        if datum.rank == 2:
+            matrices += [((2, 1), (-1, 0)), ((1, 1), (0, 1))]
+        for matrix in matrices:
+            try:
+                expected = permutation_reference.root_permutation(datum,
+                                                                  matrix)
+            except ValueError as exc:
+                expected = str(exc)
+                kinds.add(expected.split()[1])
+                for call in (lambda: root_permutation(datum,
+                                                      WeylElement(matrix)),
+                             lambda: weyl_from_matrix(datum, matrix)):
+                    with pytest.raises(ValueError) as raised:
+                        call()
+                    assert str(raised.value) == expected, (name, matrix)
+            else:
+                assert root_permutation(datum, WeylElement(matrix)) == \
+                    expected
+    # "matrix sends coroot ..." and "matrix does not preserve the pairing"
+    assert kinds == {"sends", "does"}
 
 
 def test_weyl_group_enumerated_once_per_datum():

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -353,15 +354,16 @@ def parabolic_record(par):
 
 
 def test_parabolic_table_matches_per_w_scan():
+    # GL1 and SO2 have no roots, so their tables are empty
     cases = [(name, ORACLE_WEYL_CAP) for name in
-             ["GL3", "SL3", "GL4", "SL4", "Sp4", "Sp6", "SO5", "SO7", "G2",
-              "sheared-GL3"]]
+             ["GL1", "SO2", "SO3", "GL3", "SL3", "GL4", "SL4", "Sp4", "Sp6",
+              "SO5", "SO7", "G2", "sheared-GL3"]]
     for name, limit in cases + [("GL5", 120)]:
         datum = (sheared_gl3() if name == "sheared-GL3"
                  else build_root_datum(name))
         candidates = reference_torus_parabolics(datum)
         for w in weyl_group_elements(datum):
-            table = _stable_proper_parabolics(datum, w.matrix, limit)
+            table = _stable_proper_parabolics(datum, w.matrix, limit=limit)
             reference = reference_stable_parabolics(candidates, datum, w)
             assert [parabolic_record(par) for par in table] == \
                 [parabolic_record(par) for par in reference], (name, w.word)
@@ -377,6 +379,78 @@ def test_parabolic_table_guard_stores_nothing():
                 if isinstance(key, tuple)
                 and key[0] is _torus_parabolics.__wrapped__]
     assert len(brute_force_parabolic_oracle(gl5, p, limit=120)) == 2
+
+
+def _memo_keys(datum, fn):
+    return [key for key in datum._memo
+            if isinstance(key, tuple) and key[0] is fn.__wrapped__]
+
+
+def test_parabolic_table_is_one_per_datum_whatever_the_limit():
+    gl4 = build_root_datum("GL4")
+    w = weyl_from_word(gl4, [1, 0, 2, 1])
+    p = make_pair(gl4, 3, 2, (1, 2, 3, 6), w)
+    found = [brute_force_parabolic_oracle(gl4, p, limit=limit)
+             for limit in (None, 100, 24)]
+    assert found[0] == found[1] == found[2] != []
+    assert len(_memo_keys(gl4, _torus_parabolics)) == 1
+    assert len(_memo_keys(gl4, _stable_proper_parabolics)) == 1
+    assert _torus_parabolics(gl4, limit=24)[0] == 24
+    memo = dict(gl4._memo)
+    # the table is built, but |W| = 24 still exceeds 23
+    with pytest.raises(GuardError, match="^Weyl group of GL4 exceeds "
+                       "enumeration limit 23$"):
+        brute_force_parabolic_oracle(gl4, p, limit=23)
+    assert gl4._memo == memo
+
+
+@pytest.mark.parametrize("limit", [24.0, True, Fraction(24), "24"])
+def test_oracle_refuses_a_limit_that_is_not_an_int(limit):
+    p = make_pair(GL4, 3, 2, (1, 2, 3, 6), weyl_from_word(GL4, [1, 0, 2, 1]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"limit must be an integer, got {limit!r}")):
+        brute_force_parabolic_oracle(GL4, p, limit=limit)
+
+
+def test_pair_check_failures_match_a_direct_computation():
+    # failures are (i, (w.vbar)_i mod N, q.vbar_i mod N) wherever the two
+    # differ; the same coordinates name the InvalidPairError
+    rng = random.Random(26)
+    seen_valid = seen_invalid = 0
+    for name in ["GL2", "GL3", "GL4", "Sp4", "G2"]:
+        datum = build_root_datum(name)
+        elements = weyl_group_elements(datum)
+        for _ in range(60):
+            w = rng.choice(elements)
+            q, f = rng.choice([2, 3, 4, 5, 7, 8, 9]), rng.randint(1, 3)
+            n = q ** f - 1
+            if rng.random() < 0.25:
+                vbar = kernel_vbars(datum, w.matrix, q, f, rng, 1)[0]
+            else:
+                vbar = tuple(rng.randrange(-n, 2 * n)
+                             for _ in range(datum.rank))
+            p = make_pair(datum, q, f, vbar, w)
+            expected = tuple(
+                (i, a % n, q * x % n)
+                for i, (a, x) in enumerate(zip(mat_vec(w.matrix, p.vbar),
+                                               p.vbar))
+                if a % n != q * x % n)
+            report = validate_pair(datum, p)
+            assert report.failures == expected, (name, q, f, vbar, w.word)
+            assert report.valid == (not expected)
+            assert report.modulus == n
+            if expected:
+                seen_invalid += 1
+                with pytest.raises(InvalidPairError, match=re.escape(
+                        f"pair fails compatibility at coordinates "
+                        f"{[i for i, _, _ in expected]} (mod {n})")):
+                    inertia_centralizer_roots(datum, p)
+                with pytest.raises(InvalidPairError):
+                    niveau(p)
+            else:
+                seen_valid += 1
+                assert 1 <= niveau(p) <= f
+    assert seen_valid > 30 and seen_invalid > 150
 
 
 def spy_everywhere(monkeypatch, fn, calls):
