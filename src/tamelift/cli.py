@@ -53,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError(message)
 
+    def _parse_optional(self, arg_string):
+        # no option starts with "-" and a digit, so "--vbar -1,-3" reads as
+        # "--vbar=-1,-3" (argparse itself only takes "-1" as a value)
+        if arg_string[:1] == "-" and arg_string[1:2].isdecimal():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 # ---------------------------------------------------------------------------
 # input parsing

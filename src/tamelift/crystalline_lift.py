@@ -24,6 +24,7 @@ from .errors import (
 from .lattice import (
     Mat,
     ModSolver,
+    PackedRows,
     Vec,
     identity_matrix,
     is_strict_int,
@@ -93,10 +94,7 @@ class CrysCharTuple:
         validated pair, and its slots are f tuples of `rank` ints, products
         of a lift plan's integer matrices and an integer seed."""
         v = object.__new__(cls)
-        object.__setattr__(v, "datum", datum)
-        object.__setattr__(v, "q", q)
-        object.__setattr__(v, "f", f)
-        object.__setattr__(v, "slots", slots)
+        v.__dict__.update(datum=datum, q=q, f=f, slots=slots)
         return v
 
     @property
@@ -117,6 +115,16 @@ class LiftResult:
     kernel_checked: bool
     reduction_checked: bool
     regular: bool
+
+    @classmethod
+    def _from_check(cls, v: CrysCharTuple, regular: bool,
+                    **fields) -> LiftResult:
+        """For `_checked_lift` only: set without `__init__`."""
+        result = object.__new__(cls)
+        result.__dict__.update(tuple=v, kernel_checked=True,
+                               reduction_checked=True, regular=regular,
+                               **fields)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +207,25 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LiftPlan:
     """What every lift, regularization and exactness check of one
     (datum, w, q, f) shares.  Slot j of the lift from a slot-0 seed y is
-    M_j . y, with M_j = w^((f-1-j) mod f).  The averaged congruence
-    xi_bar . x = vbar (mod N) is solved with its Smith-form constants,
-    computed once here.  The regular seed s = canonical_regular_cochar
-    needs one slot's steps only: each M_j lies in W and so permutes the
-    roots, and the pairings of every slot are those of slot 0 reordered
-    (see `regular_lift`)."""
+    M_j . y, with M_j = w^((f-1-j) mod f).  The stacked M_j are packed,
+    and so are the check rows over a tuple's flattened slots: f.r giving
+    (w . slot_j - slot_{j-1})_i, then r giving sum_j q^j . slot_j[i].  The
+    averaged congruence xi_bar . x = vbar (mod N) is solved with its
+    Smith-form constants, computed once here.  The regular seed s =
+    canonical_regular_cochar needs one slot's steps only: each M_j lies in
+    W and so permutes the roots, and the pairings of every slot are those
+    of slot 0 reordered (see `regular_lift`)."""
 
     modulus: int
     xi_bar: Mat  # averaged_scale_matrix
     xi_solver: ModSolver  # the constants of its Smith form mod N
     slot_matrices: tuple[Mat, ...]  # M_j
+    packed_slots: PackedRows  # the rows of M_0, ..., M_(f-1)
+    checks: PackedRows  # the kernel rows, then the reduction rows
     q_minus_w: Mat  # q . 1 - w
     ker_count: int  # kernel size of q - w mod N, by its Smith form
     seed: Vec  # s
@@ -221,8 +233,27 @@ class _LiftPlan:
 
     def slots(self, x: Vec) -> tuple[Vec, ...]:
         """xi of the tuple with x in slot 0 and zeros elsewhere: its slot j
-        is slot_matrices[j] . x, f products instead of f^2."""
-        return tuple(mat_vec(m, x) for m in self.slot_matrices)
+        is slot_matrices[j] . x, all f.r entries read off one packed
+        product of the stacked M_j with x (r big-int multiplies)."""
+        return tuple(zip(*[iter(self.packed_slots.products(x))] * len(x)))
+
+    def verifies(self, slots: tuple[Vec, ...], vbar: Vec) -> bool:
+        """True iff the slots (f tuples of `rank` ints) satisfy the kernel
+        condition and reduce to vbar: in one packed product of the check
+        rows with the flattened slots, at the width their own largest entry
+        needs, the low f.r fields are each the offset 2^(k-1) and the next
+        r, less it, reduce to vbar mod N."""
+        flat = list(chain.from_iterable(slots))
+        size = max(map(abs, flat)) if flat else 0
+        columns, _, high, k = self.checks.at(size)
+        packed = sum(map(mul, flat, columns)) + high
+        kernel_bits = k * len(columns)
+        if (packed ^ high) & ((1 << kernel_bits) - 1):
+            return False
+        packed >>= kernel_bits
+        mask, half, n = (1 << k) - 1, 1 << k - 1, self.modulus
+        return tuple([((packed >> shift & mask) - half) % n
+                      for shift in range(0, k * len(vbar), k)]) == vbar
 
 
 @per_datum
@@ -244,11 +275,19 @@ def _lift_plan(datum: RootDatum, w: WeylElement, q: int, f: int) -> _LiftPlan:
     q_minus_w = mat_sub(mat_scale(q, ident), w_matrix)
     n = q ** f - 1
     seed = canonical_regular_cochar(datum)
+    slot_matrices = tuple(powers[f - 1 - j] for j in range(f))
+    # entry (b, c) of the flattened slots is slot_b[c]
+    span = [(b, c) for b in range(f) for c in range(datum.rank)]
+    checks = [[w_matrix[i][c] * (b == j) - ((b, c) == ((j - 1) % f, i))
+               for b, c in span] for j, i in span]
+    checks += [[q ** b * (c == i) for b, c in span] for i in range(datum.rank)]
     return _LiftPlan(
         modulus=n,
         xi_bar=xi_bar,
         xi_solver=ModSolver(smith_normal_form(xi_bar), n),
-        slot_matrices=tuple(powers[f - 1 - j] for j in range(f)),
+        slot_matrices=slot_matrices,
+        packed_slots=PackedRows(tuple(chain.from_iterable(slot_matrices))),
+        checks=PackedRows(checks),
         q_minus_w=q_minus_w,
         ker_count=ModSolver(smith_normal_form(q_minus_w), n).kernel_count,
         seed=seed,
@@ -282,27 +321,21 @@ def _solve_seed(datum: RootDatum, p: TameInertialPair) -> tuple[_LiftPlan, Vec]:
     return plan, x
 
 
-def _checked_lift(datum: RootDatum, p: TameInertialPair,
-                  slots: tuple[Vec, ...], what: str,
-                  result: type[LiftResult] = LiftResult,
+def _checked_lift(datum: RootDatum, p: TameInertialPair, plan: _LiftPlan,
+                  x: Vec, what: str, result: type[LiftResult] = LiftResult,
                   **fields) -> LiftResult:
-    """The tuple with the given slots, re-verified: raises
+    """The lift from the slot-0 seed x, re-verified: raises
     InternalConsistencyError unless it satisfies the kernel condition and
-    reduces to vbar.  The slots must be `_LiftPlan.slots` products, so the
-    tuple is built without re-checking its entries.  Returns it as
-    `result`, with any further `fields`; `regular` records whether every
-    slot is regular, all tested at the width the slots' own largest entry
-    needs."""
-    v = CrysCharTuple._from_plan(datum, p.q, p.f, slots)
-    if not (kernel_membership(p.w, v) and reduction(v) == p.vbar):
+    reduces to vbar (`plan.verifies`).  Its slots are `plan.slots`
+    products, so the tuple is built without re-checking its entries.
+    Returns it as `result`, with any further `fields`; `regular` records
+    whether every slot is regular, all tested by `_all_regular` at the
+    width the slots' own largest entry needs."""
+    slots = plan.slots(x)
+    if not plan.verifies(slots, p.vbar):
         raise InternalConsistencyError(f"{what} failed re-verification")
-    return result(
-        tuple=v,
-        kernel_checked=True,
-        reduction_checked=True,
-        regular=_all_regular(datum, slots),
-        **fields,
-    )
+    v = CrysCharTuple._from_plan(datum, p.q, p.f, slots)
+    return result._from_check(v, _all_regular(datum, slots), **fields)
 
 
 def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
@@ -313,7 +346,7 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
     plan.  Soundness of the output is re-verified before returning.
     """
     plan, x = _solve_seed(datum, p)
-    return _checked_lift(datum, p, plan.slots(x), "constructed lift")
+    return _checked_lift(datum, p, plan, x, "constructed lift")
 
 
 @dataclass(frozen=True)
@@ -351,7 +384,7 @@ def regular_lift(datum: RootDatum, p: TameInertialPair) -> RegularLiftResult:
     while c in forbidden:
         c += 1
     shifted = vec_add(x, vec_scale(c * plan.modulus, plan.seed))
-    lift = _checked_lift(datum, p, plan.slots(shifted), "regularized lift",
+    lift = _checked_lift(datum, p, plan, shifted, "regularized lift",
                          RegularLiftResult, seed_multiplier=c)
     if not lift.regular:
         raise InternalConsistencyError(

@@ -6,7 +6,7 @@ Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from math import gcd, prod
-from operator import add, mul, neg, sub
+from operator import add, lshift, mul, neg, sub
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -120,6 +120,42 @@ def mat_pow(a: Mat, k: int) -> Mat:
         base = mat_mul(base, base)
         k >>= 1
     return result
+
+
+class PackedRows(dict):
+    """Integer rows packed column-wise, one entry per field width k, built
+    on first use: self[k] = (columns, low, high, k).  Column c is
+    sum_i rows[i][c] . 2^(k.i), so sum_c y_c . column_c holds row_i . y in
+    field i; low has a 1 and high a 2^(k-1) in each field.  `at(size)` takes
+    the least power of two k with 2^(k-1) > (largest L1 norm of a row) .
+    size, which bounds every |row_i . y| when no |y_c| exceeds size, so each
+    field of sum_c y_c . column_c + high lies in [1, 2^k).  Keyed by k
+    alone, there are at most log2(widest k) + 1 entries."""
+
+    __slots__ = ("rows", "norm")
+
+    def __init__(self, rows: Mat):
+        self.rows = rows
+        self.norm = max([sum(map(abs, row)) for row in rows], default=0)
+
+    def __missing__(self, k: int) -> tuple[Vec, int, int, int]:
+        shifts = range(0, k * len(self.rows), k)
+        low = ((1 << k * len(self.rows)) - 1) // ((1 << k) - 1)
+        columns = tuple([sum(map(lshift, column, shifts))
+                         for column in zip(*self.rows)])
+        entry = self[k] = (columns, low, low << k - 1, k)
+        return entry
+
+    def at(self, size: int) -> tuple[Vec, int, int, int]:
+        return self[1 << (self.norm * size).bit_length().bit_length()]
+
+    def products(self, y: Vec) -> Vec:
+        """Every row . y, in row order, off one product at y's width."""
+        columns, _, high, k = self.at(max(map(abs, y)) if y else 0)
+        packed = sum(map(mul, y, columns)) + high
+        mask, half = (1 << k) - 1, 1 << k - 1
+        return tuple([(packed >> shift & mask) - half
+                      for shift in range(0, k * len(self.rows), k)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +319,14 @@ class ModSolver:
         None: the Smith-form particular solution with every free parameter
         set to 0, coordinates then reduced into [0, n).  y_i = (c_i / g_i)
         . inv_i mod n / g_i needs no prior reduction of c = u b mod n: g_i
-        divides n."""
-        steps = self.steps
-        c = mat_vec(self.u, b)
+        divides n.  u is square, so one length check of b (ValueError)
+        covers every row of u . b."""
+        steps, n, u = self.steps, self.modulus, self.u
+        if len(b) != len(u):
+            raise ValueError(f"dimension mismatch: {len(u)} vs {len(b)}")
+        c = [sum(map(mul, row, b)) for row in u]
         # rows of d beyond its columns read 0 = c_i (mod n)
-        if any(ci % self.modulus for ci in c[len(steps):]):
+        if any(ci % n for ci in c[len(steps):]):
             return None
         y = [0] * len(self.v)
         for i, (g, nn, inv) in enumerate(steps):
@@ -295,7 +334,7 @@ class ModSolver:
             if ci % g:
                 return None
             y[i] = ci // g * inv % nn
-        return vec_mod(mat_vec(self.v, y), self.modulus)
+        return tuple([sum(map(mul, row, y)) % n for row in self.v])
 
 
 def solve_int_smith(snf: tuple[Mat, Mat, Mat], b: Vec) -> Vec | None:

@@ -19,11 +19,12 @@ import functools
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import lshift, mul
+from operator import mul
 
 from .errors import DatumValidationError, GuardError, InternalConsistencyError
 from .lattice import (
     Mat,
+    PackedRows,
     Vec,
     as_rows,
     as_tuple,
@@ -152,13 +153,7 @@ def root_pairings(datum: RootDatum, cochar: Vec) -> Vec:
     ValueError for a vector of the wrong length or with an entry that is
     not an int (a float, bool or Fraction)."""
     _require_cochar(datum, cochar)
-    columns, _, high, k = _packed_functionals(
-        datum, max(map(abs, cochar)) if cochar else 0)
-    # field i of the product is <alpha_i, cochar> + 2^(k-1), in [1, 2^k)
-    packed = sum(map(mul, cochar, columns)) + high
-    mask, half = (1 << k) - 1, 1 << k - 1
-    return tuple([(packed >> shift & mask) - half
-                  for shift in range(0, k * len(datum.roots), k)])
+    return _packed_functionals(datum).products(cochar)
 
 
 def is_regular_cochar(datum: RootDatum, cochar: Vec) -> bool:
@@ -187,7 +182,7 @@ def _all_regular(datum: RootDatum, cochars) -> bool:
     and (x - low) & ~x & high is nonzero exactly when some field of x is 0
     (no field borrows unless one below it is 0).  The entries are not
     checked: there must be at least one cocharacter, each `rank` ints."""
-    columns, low, high, _ = _packed_functionals(datum, max(
+    columns, low, high, _ = _packed_functionals(datum).at(max(
         map(abs, chain.from_iterable(cochars))) if datum.rank else 0)
     for cochar in cochars:
         x = (sum(map(mul, cochar, columns)) + high) ^ high
@@ -196,35 +191,16 @@ def _all_regular(datum: RootDatum, cochars) -> bool:
     return True
 
 
-def _packed_functionals(datum: RootDatum,
-                        size: int) -> tuple[Vec, int, int, int]:
-    """The root functionals packed for vectors whose entries are at most
-    `size` in absolute value: (columns, low, high, k).  Column c is
-    sum_i F[i][c] . 2^(k.i) for the functionals F, so sum_c y_c . column_c
-    holds <alpha_i, y> in field i; low has a 1 and high a 2^(k-1) in each
-    field.  k is the least power of two with 2^(k-1) > (largest L1 norm of
-    a functional) . size, which bounds every |<alpha, y>|.  The datum's
-    memo holds that norm and the entries, one memo lookup per call; the
-    entries are keyed by k alone, so a datum holds at most log2(widest k)
-    + 1 of them, whatever the sizes it has paired."""
+def _packed_functionals(datum: RootDatum) -> PackedRows:
+    """The root functionals packed column-wise (see `lattice.PackedRows`),
+    so <alpha_i, y> is field i of a product with y.  The datum's memo holds
+    them beside their norm, one memo lookup per call."""
     try:
-        norm, widths = datum._memo[_packed_functionals]
+        return datum._memo[_packed_functionals][1]
     except KeyError:
-        norm = max([sum(map(abs, row)) for row in root_functionals(datum)],
-                   default=0)
-        widths = {}
-        datum._memo[_packed_functionals] = norm, widths
-    k = 1 << (norm * size).bit_length().bit_length()
-    try:
-        return widths[k]
-    except KeyError:
-        functionals = root_functionals(datum)
-        shifts = range(0, k * len(functionals), k)
-        low = ((1 << k * len(functionals)) - 1) // ((1 << k) - 1)
-        columns = tuple([sum(map(lshift, column, shifts))
-                         for column in zip(*functionals)])
-        entry = widths[k] = (columns, low, low << k - 1, k)
-        return entry
+        packed = PackedRows(root_functionals(datum))
+        datum._memo[_packed_functionals] = packed.norm, packed
+        return packed
 
 
 @per_datum

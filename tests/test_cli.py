@@ -60,12 +60,45 @@ def test_regular_lift_zero_vbar(capsys):
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("command", ["lift", "regular-lift"])
 def test_lift_commands_reduce_once(command, fmt, monkeypatch, capsys):
-    # the lift's own re-verification reduces it; the printed reduction is
-    # the vbar it was checked against
-    calls = []
+    # the lift's own re-verification reads the reduction off its packed
+    # check, so the public reduction is never called; the printed reduction
+    # is the vbar that check verified
+    calls, verified = [], []
     spy_everywhere(monkeypatch, crystalline_lift.reduction, calls)
-    code, _, _ = run([command, *GL2_PAIR, "--format", fmt], capsys)
-    assert code == 0 and len(calls) == 1
+    check = crystalline_lift._LiftPlan.verifies
+
+    def spy(plan, slots, vbar):
+        verified.append((vbar, check(plan, slots, vbar)))
+        return verified[-1][1]
+
+    monkeypatch.setattr(crystalline_lift._LiftPlan, "verifies", spy)
+    code, out, _ = run([command, *GL2_PAIR, "--format", fmt], capsys)
+    assert code == 0 and calls == []
+    [(vbar, ok)] = set(verified)
+    assert ok
+    if fmt == "json":
+        assert json.loads(out)["reduction"] == list(vbar)
+    else:
+        assert f"\nreduction: ({vbar[0]}, {vbar[1]})\n" in out
+
+
+@pytest.mark.parametrize("command", ["lift", "validate", "irreducible"])
+def test_negative_vbar_is_a_value_in_either_form(command, capsys):
+    # "-1,-3" starts like an option; no option starts with "-" and a digit,
+    # so the separate token reads as the "=" form does, and both as the
+    # same pair reduced mod 8
+    pair = [command, "--group", "GL2", "--q", "3", "--f", "2", "--w", "s0"]
+    joined = run([*pair, "--vbar=-1,-3"], capsys)
+    assert joined[0] == 0 and joined[1]
+    assert run([*pair, "--vbar", "-1,-3"], capsys) == joined
+    assert run([*pair, "--vbar", "7,5"], capsys) == joined
+    # a bad negative list is --vbar's to refuse, in either form
+    refused = run([*pair, "--vbar=-1,x"], capsys)
+    assert refused == (1, "", "error: cannot parse --vbar '-1,x'; expected "
+                              "comma separated integers like 1,3\n")
+    assert run([*pair, "--vbar", "-1,x"], capsys) == refused
+    assert run([*pair, "--vbar", "-1"], capsys) == (
+        1, "", "error: vbar has 1 entries, expected rank 2\n")
 
 
 def test_datum_table_lists_roots(capsys):

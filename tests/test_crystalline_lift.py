@@ -3,9 +3,11 @@ lift construction."""
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
 
+import pairing_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +45,7 @@ from tamelift.errors import (
     InvalidPairError,
     LiftHypothesisError,
 )
-from tamelift.hodge_tate import regular_lift
+from tamelift.hodge_tate import RegularLiftResult, regular_lift
 from tamelift.lattice import (
     ModSolver,
     identity_matrix,
@@ -386,6 +388,82 @@ def test_plan_built_tuples_equal_public_ones():
             for s in v.slots:
                 assert type(s) is tuple and len(s) == datum.rank
                 assert all(map(is_strict_int, s))
+
+
+def test_plan_built_results_equal_public_ones():
+    # LiftResult._from_check fills the fields without __init__; equality,
+    # hash, repr and pickling must not tell its results from public ones
+    # (0, 0) lifts to irregular slots, so its regular lift has C = 1
+    for vbar in ((1, 3), (0, 0)):
+        pair = make_pair(GL2, 3, 2, vbar, SWAP)
+        for out in (lift_inertia(GL2, pair), regular_lift(GL2, pair)):
+            public = type(out)(**vars(out))
+            assert out == public and hash(out) == hash(public)
+            assert repr(out) == repr(public)
+            assert pickle.dumps(out) == pickle.dumps(public)
+            assert pickle.loads(pickle.dumps(out)) == public
+    assert type(out) is RegularLiftResult and out.seed_multiplier == 1
+
+
+def _check_cases(rng, datum, plan):
+    """Seeded slot tuples for one lift plan: valid lifts from small,
+    negative and near-2^200 seeds, each also with one entry moved by +-1 or
+    +-N; all-zero slots; and constant slots of +-(2^(k-1) - 1) // norm for
+    several check widths k, the largest entries that width holds (valid
+    lifts wherever w fixes the all-ones vector)."""
+    n, rank, f = plan.modulus, datum.rank, len(plan.slot_matrices)
+    seeds = [tuple(rng.randrange(n) for _ in range(rank)),
+             tuple(rng.randrange(-4 * n, 0) for _ in range(rank)),
+             tuple(rng.randrange(-4 * n, 4 * n) for _ in range(rank)),
+             tuple(rng.randrange(-2 ** 200, 2 ** 200) for _ in range(rank)),
+             tuple(2 ** 200 - rng.randrange(n) for _ in range(rank))]
+    lifts = [tuple(mat_vec(m, x) for m in plan.slot_matrices) for x in seeds]
+    for x, slots in zip(seeds, lifts):
+        assert PLAN_SLOTS(plan, x) == slots
+    cases = list(lifts)
+    for slots, delta in zip(lifts * 4, (1, -1, n, -n) * len(lifts)):
+        moved = [list(s) for s in slots]
+        moved[rng.randrange(f)][rng.randrange(rank)] += delta
+        cases.append(tuple(map(tuple, moved)))
+    cases.append(((0,) * rank,) * f)
+    for k in (8, 16, 32, 64, 256):
+        e = ((1 << k - 1) - 1) // plan.checks.norm
+        cases += [((e,) * rank,) * f, ((-e,) * rank,) * f]
+    return cases
+
+
+def test_packed_check_agrees_with_the_public_functions(monkeypatch):
+    # the lift's one packed check must give the verdict of the public
+    # kernel condition and reduction on every kind of slot tuple, and the
+    # checked lift the regularity of the plain-sum reference; the checked
+    # lift is handed each tuple as its own slots
+    monkeypatch.setattr(crystalline_lift._LiftPlan, "slots",
+                        lambda plan, slots: slots)
+    rng = random.Random(41)
+    verdicts = set()
+    for _, datum, q, f, w in _lift_sweep():
+        plan = _lift_plan(datum, w, q, f)
+        n = plan.modulus
+        for slots in _check_cases(rng, datum, plan):
+            v = make_crys_tuple(datum, q, slots)
+            red = reduction(v)
+            other = tuple(rng.randrange(n) for _ in red)
+            for vbar in (red, ((red[0] + 1) % n, *red[1:]), other):
+                expected = kernel_membership(w, v) and red == vbar
+                assert plan.verifies(slots, vbar) == expected
+                verdicts.add((f, expected))
+                pair = make_pair(datum, q, f, vbar, w)
+                if not expected:
+                    with pytest.raises(InternalConsistencyError,
+                                       match="^packed check failed"):
+                        crystalline_lift._checked_lift(
+                            datum, pair, plan, slots, "packed check")
+                    continue
+                out = crystalline_lift._checked_lift(datum, pair, plan,
+                                                     slots, "packed check")
+                assert out.tuple == v
+                assert out.regular == ref.all_regular(datum, slots)
+    assert verdicts == {(f, b) for f in LIFT_DEGREES for b in (True, False)}
 
 
 def test_simple_trick_examples():

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import pytest
 from fraction_reference import rational_inverse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -381,6 +382,27 @@ def test_solve_mod_smith_against_brute_force_property(case):
         return
     assert x is not None and all(0 <= c < n for c in x)
     assert x in solutions
+
+
+def test_solve_mod_matches_the_reference_on_non_square_systems():
+    # the row-comprehension solve against the specification, on Smith
+    # forms from the reference, square or not, with b reachable or not
+    rng = random.Random(113)
+    for _ in range(300):
+        m, k = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, m, k, bound=9)
+        snf, n = reference_smith_form(a), rng.randint(1, 60)
+        x0 = tuple(rng.randint(-50, 50) for _ in range(k))
+        for b in (mat_vec(a, x0), tuple(rng.randint(-99, 99) for _ in a)):
+            x = ModSolver(snf, n).solve(b)
+            assert x == solve_mod_smith_reference(snf, b, n)
+            if b == mat_vec(a, x0):
+                assert x is not None
+    solver = ModSolver(smith_normal_form(((1, 2, 3), (4, 5, 6))), 7)
+    for b in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError,
+                           match=f"^dimension mismatch: 2 vs {len(b)}$"):
+            solver.solve(b)
 
 
 def test_solve_mod_is_deterministic():

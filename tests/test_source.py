@@ -201,6 +201,24 @@ def test_plan_tuple_constructor_is_called_only_by_checked_lift():
     assert references == {"crystalline_lift.py": inside}
 
 
+def test_result_constructor_is_called_only_by_checked_lift():
+    # LiftResult._from_check sets kernel_checked and reduction_checked
+    # without checking anything; only _checked_lift, which has just
+    # verified both, may call it
+    references = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if found := _references(tree, "_from_check"):
+            references[path.name] = found
+    lift_tree = ast.parse((PACKAGE_DIR / "crystalline_lift.py").read_text())
+    [checked_lift] = [node for node in ast.walk(lift_tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_checked_lift"]
+    inside = _references(checked_lift, "_from_check")
+    assert len(inside) == 1
+    assert references == {"crystalline_lift.py": inside}
+
+
 def test_root_functionals_are_read_only_by_the_packing_and_three_tables():
     # every root pairing goes through the packed product, so the plain
     # functionals are read only where a table is built from them: the
