@@ -194,12 +194,12 @@ def _all_regular(datum: RootDatum, cochars) -> bool:
 def _packed_functionals(datum: RootDatum) -> PackedRows:
     """The root functionals packed column-wise (see `lattice.PackedRows`),
     so <alpha_i, y> is field i of a product with y.  The datum's memo holds
-    them beside their norm, one memo lookup per call."""
+    them under their own key, one memo lookup per call."""
     try:
-        return datum._memo[_packed_functionals][1]
+        return datum._memo[_packed_functionals]
     except KeyError:
-        packed = PackedRows(root_functionals(datum))
-        datum._memo[_packed_functionals] = packed.norm, packed
+        packed = datum._memo[_packed_functionals] = PackedRows(
+            root_functionals(datum))
         return packed
 
 

@@ -34,6 +34,7 @@ from .lattice import (
 from .root_datum import (
     RootDatum,
     WeylElement,
+    _packed_functionals,
     _root_permutation_cached,
     _weyl_limit_error,
     per_datum,
@@ -161,6 +162,15 @@ def _congruence_failures(p: TameInertialPair) -> tuple[tuple[int, int, int], ...
     return tuple([(i, a, b) for i, (a, b) in enumerate(sides) if a != b])
 
 
+def _compatible(p: TameInertialPair, n: int) -> bool:
+    """Whether w . vbar = q . vbar (mod n), with no report built."""
+    q, vbar = p.q, p.vbar
+    for row, x in zip(p.w.matrix, vbar):
+        if (sum(map(operator.mul, row, vbar)) - q * x) % n:
+            return False
+    return True
+
+
 def validate_pair(datum: RootDatum, p: TameInertialPair) -> ValidityReport:
     """Check w . vbar = q . vbar (mod N).  Reports, never raises, on a
     mathematical failure; raises only on a rank mismatch with the datum."""
@@ -223,12 +233,16 @@ def check_weyl_order(p: TameInertialPair) -> WeylOrderReport:
 def inertia_centralizer_roots(datum: RootDatum,
                               p: TameInertialPair) -> tuple[Vec, ...]:
     """Roots whose pairing with vbar vanishes mod N: the root system of the
-    connected centralizer of the inertia image.  Lexicographically sorted."""
-    _require_valid(datum, p)
-    n = p.modulus
-    return tuple(alpha for alpha, v in zip(datum.roots,
-                                           root_pairings(datum, p.vbar))
-                 if v % n == 0)
+    connected centralizer of the inertia image.  Lexicographically sorted.
+    One pass: the report that _require_valid raises from is built only when
+    vbar's length or a congruence row fails, and the pairings are one packed
+    product without root_pairings' entry check, since a TameInertialPair
+    holds ints in [0, N) and the length was just checked."""
+    n, vbar = p.modulus, p.vbar
+    if len(vbar) != datum.rank or not _compatible(p, n):
+        _require_valid(datum, p)
+    return tuple([alpha for alpha, v in zip(
+        datum.roots, _packed_functionals(datum).products(vbar)) if not v % n])
 
 
 @dataclass(frozen=True)
@@ -252,18 +266,23 @@ def is_G_irreducible(datum: RootDatum, p: TameInertialPair) -> IrreducibilityRes
     (b) every w-fixed cocharacter pairs to zero with every root.  Exact for
     every automorphism of the datum, in W or not (the w-orbit sum of a
     stable parabolic's cocharacter is fixed and defines it); any other
-    matrix raises ValueError, as in the oracle.
+    matrix raises ValueError, as in the oracle.  (b) depends on w alone, so
+    its certificate is kept once per datum and w (_noncentral_fixed_cochar).
     """
     killed = inertia_centralizer_roots(datum, p)
     root_permutation(datum, p.w)  # ValueError unless w permutes the roots
     if killed:
         return IrreducibilityResult(irreducible=False, failing_root=max(killed))
-    noncentral = [v for v in weyl_fixed_space(datum, p.w)
-                  if any(root_pairings(datum, v))]
-    if noncentral:
-        return IrreducibilityResult(irreducible=False,
-                                    fixed_cochar=max(noncentral))
-    return IrreducibilityResult(irreducible=True)
+    fixed = _noncentral_fixed_cochar(datum, p.w)
+    return IrreducibilityResult(irreducible=fixed is None, fixed_cochar=fixed)
+
+
+@per_datum
+def _noncentral_fixed_cochar(datum: RootDatum, w: WeylElement) -> Vec | None:
+    """The largest w-fixed basis vector pairing nonzero with some root, or
+    None when every fixed cocharacter is central.  Keyed on w's matrix."""
+    return max([v for v in weyl_fixed_space(datum, w)
+                if any(root_pairings(datum, v))], default=None)
 
 
 # ---------------------------------------------------------------------------

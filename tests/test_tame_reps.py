@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import pairing_reference as ref
 import pytest
 from fraction_reference import REFERENCE_PRESETS, coords_in_base, sheared_gl3
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from tamelift.root_datum import (
     make_root_datum,
     root_functionals,
     root_pairings,
+    root_permutation,
     weyl_fixed_space,
     weyl_from_matrix,
     weyl_from_word,
@@ -54,6 +56,7 @@ from tamelift.tame_reps import (
     MODULUS_BITS_CAP,
     ORACLE_WEYL_CAP,
     PRIME_TRIAL_BOUND,
+    IrreducibilityResult,
     TameInertialPair,
     _stable_proper_parabolics,
     _standard_parabolic_cochars,
@@ -485,15 +488,30 @@ def test_first_oracle_call_neither_enumerates_w_nor_scans(monkeypatch):
         weyl_identity(sp6))
 
 
-def test_oracle_validates_the_pair_once(monkeypatch):
+def _check_the_pair_once(monkeypatch, decide):
+    # a valid pair builds no ValidityReport: one congruence pass per
+    # inertia_centralizer_roots call, and the report only to raise
     calls = []
-    spy_everywhere(monkeypatch, tame_reps.validate_pair, calls)
-    brute_force_parabolic_oracle(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
-    assert calls == ["validate_pair"]
+    for fn in (tame_reps.inertia_centralizer_roots, tame_reps._compatible,
+               tame_reps.validate_pair):
+        spy_everywhere(monkeypatch, fn, calls)
+    decide(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
+    assert calls == ["inertia_centralizer_roots", "_compatible"]
+    calls.clear()
     with pytest.raises(InvalidPairError,
                        match=re.escape("pair fails compatibility at "
                                        "coordinates [0, 1] (mod 8)")):
-        brute_force_parabolic_oracle(GL2, make_pair(GL2, 3, 2, (1, 5), SWAP))
+        decide(GL2, make_pair(GL2, 3, 2, (1, 5), SWAP))
+    assert calls == ["inertia_centralizer_roots", "_compatible",
+                     "validate_pair"]
+
+
+def test_oracle_validates_the_pair_once(monkeypatch):
+    _check_the_pair_once(monkeypatch, brute_force_parabolic_oracle)
+
+
+def test_irreducibility_validates_the_pair_once(monkeypatch):
+    _check_the_pair_once(monkeypatch, is_G_irreducible)
 
 
 MINUS_I = ((-1, 0), (0, -1))  # a GL2 automorphism outside W = {1, swap}
@@ -556,6 +574,155 @@ def test_criterion_matches_oracle_outside_w():
                         datum, p)), (name, q, f, vbar, w.word)
                     verdicts[verdict] += 1
     assert verdicts == {True: 74, False: 696}
+
+
+def reference_killed_roots(datum, p):
+    """inertia_centralizer_roots through the full ValidityReport and the
+    plain-sum pairings."""
+    report = validate_pair(datum, p)
+    if not report:
+        raise InvalidPairError(
+            f"pair fails compatibility at coordinates "
+            f"{[i for i, _, _ in report.failures]} (mod {report.modulus})")
+    return tuple(alpha for alpha, v in zip(
+        datum.roots, ref.root_pairings(datum, p.vbar)) if v % p.modulus == 0)
+
+
+def reference_fixed_cochar(datum, matrix):
+    """The largest noncentral vector of an uncached fixed-space basis."""
+    basis = integer_kernel_basis(
+        mat_sub(matrix, identity_matrix(datum.rank)), datum.rank)
+    noncentral = [v for v in basis if any(ref.root_pairings(datum, v))]
+    return max(noncentral) if noncentral else None
+
+
+def reference_irreducibility(datum, p):
+    killed = reference_killed_roots(datum, p)
+    root_permutation(datum, p.w)
+    if killed:
+        return IrreducibilityResult(irreducible=False, failing_root=max(killed))
+    fixed = reference_fixed_cochar(datum, p.w.matrix)
+    return IrreducibilityResult(irreducible=fixed is None, fixed_cochar=fixed)
+
+
+def reference_oracle(datum, p):
+    if reference_killed_roots(datum, p):
+        raise ValueError(
+            "oracle requires empty inertia centralizer roots; some root "
+            "pairing with vbar vanishes mod N")
+    return list(_stable_proper_parabolics(datum, p.w.matrix,
+                                          limit=ORACLE_WEYL_CAP))
+
+
+def outcome(decide, datum, p):
+    try:
+        return decide(datum, p)
+    except (ValueError, InvalidPairError) as error:
+        return type(error), str(error)
+
+
+ONE_PASS_GROUPS = ("GL1", "SO2", "GL2", "GL3", "GL4", "SL3", "Sp4", "Sp6",
+                   "SO5", "SO7", "G2")
+
+
+def one_pass_cases():
+    """Seeded (datum, pair) cases: valid pairs, some with a Weyl element
+    rebuilt from its matrix (no word) or negated (an automorphism, outside
+    W where -1 is not in W); the same pairs shifted at one or more
+    coordinates; random vbars under the identity, which fixes every vbar,
+    so only the q factor refuses them; and each GL pair passed with a
+    datum of another rank."""
+    rng = random.Random(28)
+    cases = []
+    for name in ONE_PASS_GROUPS:
+        datum = build_root_datum(name)
+        elements = weyl_group_elements(datum)
+        for _ in range(40):
+            w = rng.choice(elements)
+            if rng.random() < 0.5:
+                w = WeylElement(matrix=w.matrix)
+            elif rng.random() < 0.2:
+                w = WeylElement(matrix=mat_scale(-1, w.matrix))
+            q, f = rng.choice((2, 3, 4, 5, 7)), rng.choice((1, 2, 3))
+            n = q ** f - 1
+            [vbar] = kernel_vbars(datum, w.matrix, q, f, rng, 1)
+            cases.append((datum, TameInertialPair(q, f, vbar, w)))
+            bad = list(vbar)
+            for i in rng.sample(range(datum.rank),
+                                rng.randint(1, datum.rank)):
+                bad[i] += rng.randrange(1, n) if n > 1 else 0
+            cases.append((datum, TameInertialPair(q, f, bad, w)))
+            cases.append((datum, TameInertialPair(
+                q, f, [rng.randrange(n) for _ in range(datum.rank)],
+                weyl_identity(datum))))
+    cases.append((GL2, TameInertialPair(3, 2, (1, 3),
+                                        WeylElement(matrix=MINUS_I))))
+    others = {"GL2": GL3, "GL3": GL2, "GL4": GL2}
+    cases += [(others[datum.label], p) for datum, p in cases
+              if datum.label in others]
+    return cases
+
+
+def test_one_pass_irreducibility_matches_the_reference():
+    kinds = Counter()
+    for datum, p in one_pass_cases():
+        for decide, reference in (
+                (brute_force_parabolic_oracle, reference_oracle),
+                (inertia_centralizer_roots, reference_killed_roots),
+                (is_G_irreducible, reference_irreducibility)):
+            got = outcome(decide, datum, p)
+            assert got == outcome(reference, datum, p), (datum.label, p)
+        if isinstance(got, tuple):
+            kinds[got[0].__name__] += 1
+        else:
+            kinds["irreducible" if got else "killed root"
+                  if got.failing_root else "fixed cochar"] += 1
+    assert kinds == {"irreducible": 186, "fixed cochar": 63,
+                     "killed root": 445, "InvalidPairError": 627,
+                     "ValueError": 361}
+
+
+def test_fixed_cochar_certificate_matches_the_fixed_basis():
+    kinds = Counter()
+    for name in ("GL1", "GL2", "GL3", "GL4", "SL2", "SL3", "SL4", "Sp4",
+                 "Sp6", "SO5", "SO6", "SO7", "G2"):
+        datum = build_root_datum(name)
+        for w in weyl_group_elements(datum):
+            fixed = tame_reps._noncentral_fixed_cochar(datum, w)
+            assert fixed == reference_fixed_cochar(datum, w.matrix), (name, w)
+            kinds[fixed is None] += 1
+    assert kinds == {True: 66, False: 147}
+
+
+def test_fixed_cochar_certificate_is_one_per_matrix(monkeypatch):
+    # s0 s1 s0 = s1 s0 s1 on GL3: equal elements with different words.
+    # (1, 0, 2) is compatible at q = 2, f = 2 and kills no root, so the
+    # verdict rests on the certificate
+    datum = make_root_datum(GL3.rank, GL3.roots, GL3.coroots, GL3.pairing,
+                            GL3.simple_roots, label="GL3/certificate")
+    words = ([0, 1, 0], [1, 0, 1])
+    pairs = [make_pair(datum, 2, 2, (1, 0, 2), weyl_from_word(datum, word))
+             for word in words]
+    assert pairs[0].w == pairs[1].w and pairs[0].w.word != pairs[1].w.word
+    calls = []
+    for fn in (root_datum.weyl_fixed_space, root_datum.root_pairings):
+        spy_everywhere(monkeypatch, fn, calls)
+    verdicts = [is_G_irreducible(datum, p) for p in pairs]
+    assert verdicts[0] == verdicts[1] == IrreducibilityResult(
+        irreducible=False, fixed_cochar=(1, 0, 1))
+    assert calls.count("weyl_fixed_space") == 1
+    assert len(_memo_keys(datum, tame_reps._noncentral_fixed_cochar)) == 1
+    # a repeat call computes no pairing at all
+    calls.clear()
+    assert is_G_irreducible(datum, pairs[1]) == verdicts[0]
+    assert calls == []
+    # a fresh copy of the datum starts without one
+    copy = make_root_datum(GL3.rank, GL3.roots, GL3.coroots, GL3.pairing,
+                           GL3.simple_roots, label="GL3/certificate")
+    assert copy == datum
+    assert not _memo_keys(copy, tame_reps._noncentral_fixed_cochar)
+    assert is_G_irreducible(copy, pairs[0]) == verdicts[0]
+    assert calls.count("weyl_fixed_space") == 1
 
 
 def test_criterion_and_oracle_refuse_a_matrix_that_permutes_no_roots():
