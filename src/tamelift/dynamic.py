@@ -11,8 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ChamberMismatchError
-from .lattice import Vec, vec_add
-from .root_datum import RootDatum, WeylElement, root_pairings, root_permutation
+from .lattice import Vec, is_strict_int, vec_add
+from .root_datum import (
+    RootDatum,
+    WeylElement,
+    _require_cochar,
+    _require_weyl_shape,
+    root_pairings,
+    root_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,14 @@ def frobenius_orbit_sum(datum: RootDatum, lam: Vec, w: WeylElement, d: int) -> V
 
     This is the computable stand-in for the product of Frobenius translates:
     the translates commute at the cocharacter level, so their product is the
-    sum in the cocharacter lattice.
+    sum in the cocharacter lattice.  Raises ValueError for a cocharacter
+    that `root_pairings` refuses, a w of another rank, or a count d that
+    is not an int of at least 1.
     """
+    _require_cochar(datum, lam)
+    _require_weyl_shape(datum, w.matrix)
+    if not is_strict_int(d):
+        raise ValueError(f"translate count must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"translate count must be positive, got {d}")
     total = tuple(lam)

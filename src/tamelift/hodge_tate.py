@@ -21,7 +21,7 @@ from .crystalline_lift import (
     regular_lift,  # re-exported
 )
 from .errors import MultisetDivisionError
-from .lattice import Vec, is_strict_int, vec_neg, zero_vec
+from .lattice import Vec, is_strict_int, require_ints, vec_neg, zero_vec
 from .root_datum import (
     RootDatum,
     _all_regular,
@@ -39,8 +39,7 @@ class HTType:
     cochars: tuple[Vec, ...]
 
     def __post_init__(self):
-        if not is_strict_int(self.f):
-            raise ValueError(f"f must be an integer, got {self.f!r}")
+        require_ints(f=self.f)
         if self.f < 1 or len(self.cochars) != self.f:
             raise ValueError(
                 f"expected {self.f} cocharacters, got {len(self.cochars)}")
@@ -77,6 +76,7 @@ def regular_seed(datum: RootDatum, q: int, f: int, colabel: int,
     """Tuple concentrated at one colabel; the seed must be regular."""
     if not is_regular_cochar(datum, cochar):
         raise ValueError(f"seed cocharacter {tuple(cochar)} is not regular")
+    require_ints(f=f, colabel=colabel)
     if not 0 <= colabel < f:
         raise ValueError(f"colabel {colabel} out of range for f={f}")
     slots = [zero_vec(datum.rank) for _ in range(f)]
@@ -138,6 +138,7 @@ class EmbeddingProfile:
     degree: int
 
     def __post_init__(self):
+        require_ints(degree=self.degree)
         object.__setattr__(self, "colabels", tuple(self.colabels))
         object.__setattr__(self, "restriction",
                            tuple(tuple(p) for p in self.restriction))
@@ -162,6 +163,7 @@ class EmbeddingProfile:
 def make_unramified_profile(num_labels: int, degree: int) -> EmbeddingProfile:
     """Colabels Z/(num_labels . degree) restricting to labels Z/num_labels
     by reduction; the unramified-tower picture."""
+    require_ints(num_labels=num_labels, degree=degree)
     if num_labels < 1 or degree < 1:
         raise ValueError("num_labels and degree must be positive")
     colabels = tuple(range(num_labels * degree))
@@ -211,6 +213,7 @@ def induced_lt_ht(num_base_labels: int, d: int) -> tuple[dict, dict]:
     The labeled map, the fiberwise average, is {0, ..., 0, -1} at the
     canonical label and all zeros elsewhere.
     """
+    require_ints(num_base_labels=num_base_labels, d=d)
     if d < 1:
         raise ValueError(f"degree must be a positive integer, got {d}")
     profile = make_unramified_profile(num_base_labels, d)

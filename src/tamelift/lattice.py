@@ -19,6 +19,13 @@ def is_strict_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not a strict int."""
+    for name, value in values.items():
+        if not is_strict_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_tuple(value, what: str, error=ValueError) -> tuple:
     """tuple(value), or error(message) naming `what` when value is not
     iterable, as a JSON number or null where a list belongs."""

@@ -82,16 +82,15 @@ class RootDatum:
 def per_datum(fn):
     """Cache fn(datum, *args) in the datum's memo: computed once per datum
     and argument tuple, and released with the datum.  A call that raises
-    caches nothing.  Keyword arguments reach fn but not the key: they may
-    decide whether a first call raises (a guard), never the value."""
+    caches nothing."""
     @functools.wraps(fn)
-    def cached(datum, *args, **guard):
+    def cached(datum, *args):
         memo = datum._memo
         key = (fn, args)
         try:
             return memo[key]
         except KeyError:
-            value = memo[key] = fn(datum, *args, **guard)
+            value = memo[key] = fn(datum, *args)
             return value
     return cached
 
@@ -191,16 +190,11 @@ def _all_regular(datum: RootDatum, cochars) -> bool:
     return True
 
 
+@per_datum
 def _packed_functionals(datum: RootDatum) -> PackedRows:
     """The root functionals packed column-wise (see `lattice.PackedRows`),
-    so <alpha_i, y> is field i of a product with y.  The datum's memo holds
-    them under their own key, one memo lookup per call."""
-    try:
-        return datum._memo[_packed_functionals]
-    except KeyError:
-        packed = datum._memo[_packed_functionals] = PackedRows(
-            root_functionals(datum))
-        return packed
+    so <alpha_i, y> is field i of a product with y."""
+    return PackedRows(root_functionals(datum))
 
 
 @per_datum
@@ -673,7 +667,6 @@ def _weyl_limit_error(datum: RootDatum, limit: int) -> GuardError:
         f"Weyl group of {datum.label} exceeds enumeration limit {limit}")
 
 
-@per_datum
 def weyl_fixed_space(datum: RootDatum, w: WeylElement) -> Mat:
     """Canonical basis of the w-fixed cocharacter sublattice (saturated, so
     also a basis of the fixed subspace over Q)."""

@@ -18,7 +18,6 @@ from math import gcd
 from .dynamic import ParabolicType, split_by_sign
 from .errors import GuardError, InternalConsistencyError, InvalidPairError
 from .lattice import (
-    Mat,
     Vec,
     as_tuple,
     dot,
@@ -26,6 +25,7 @@ from .lattice import (
     identity_matrix,
     is_strict_int,
     mat_pow,
+    require_ints,
     smith_normal_form,
     solve_int_smith,
     vec_mod,
@@ -81,9 +81,7 @@ def _require_q_f(q: int, f: int) -> None:
     N = q^f - 1 of more than MODULUS_BITS_CAP bits.  Both must be ints and
     not bools: floats equal to integers hash alike, so one would otherwise
     share (and could fill) every memo keyed on q or f."""
-    for name, value in (("q", q), ("f", f)):
-        if not is_strict_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    require_ints(q=q, f=f)
     if not is_prime_power(q):
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     if f < 1:
@@ -295,8 +293,8 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     parabolic, kept when w stabilizes it.
 
     The translates depend only on the datum, so they are built once per
-    datum, on the first oracle call, into a table of the distinct proper
-    parabolics containing the torus: the W-orbit of each standard
+    datum and limit, on the first oracle call, into a table of the distinct
+    proper parabolics containing the torus: the W-orbit of each standard
     cocharacter, closed under the simple reflections (_torus_parabolics).
     The table keeps one int per root with a membership bit per entry, so a
     call for a new w tests every entry's stability at once with one XOR per
@@ -310,11 +308,11 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
     standard cocharacter (|W| points); passing an explicit limit on |W|
     replaces the default guard (rank <= ORACLE_RANK_CAP and
     |W| <= ORACLE_WEYL_CAP).  The limit must be an int, not a bool or
-    float (ValueError).  The datum has one table whatever the limit, and
-    a call whose limit is below |W| raises GuardError, storing nothing.
+    float (ValueError).  Each limit has its own tables, and a limit below
+    |W| raises GuardError, storing nothing.
     """
-    if limit is not None and not is_strict_int(limit):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
+    if limit is not None:
+        require_ints(limit=limit)
     if inertia_centralizer_roots(datum, p):
         raise ValueError(
             "oracle requires empty inertia centralizer roots; some root "
@@ -325,11 +323,7 @@ def brute_force_parabolic_oracle(datum: RootDatum, p: TameInertialPair,
                 f"oracle out of range: rank {datum.rank} exceeds "
                 f"{ORACLE_RANK_CAP}; pass an explicit limit to override")
         limit = ORACLE_WEYL_CAP
-    # the table may predate this limit; a datum without roots walks no orbit
-    order, points, _, _ = _torus_parabolics(datum, limit=limit)
-    if points and order > limit:
-        raise _weyl_limit_error(datum, limit)
-    return list(_stable_proper_parabolics(datum, p.w.matrix, limit=limit))
+    return list(_stable_proper_parabolics(datum, p.w, limit))
 
 
 @per_datum
@@ -374,13 +368,12 @@ def _standard_parabolic_cochars(datum: RootDatum) -> tuple[Vec, ...]:
 
 
 @per_datum
-def _torus_parabolics(datum: RootDatum, *, limit: int) -> tuple:
+def _torus_parabolics(datum: RootDatum, limit: int) -> tuple:
     """Every proper parabolic containing the torus, once each, as the
-    table (order, points, members, records).  points holds each
-    parabolic's (cochar, pairings), sorted by its nonnegative root indices;
-    bit e of members[i] is set when root i lies in parabolic e; records[e]
-    is parabolic e's ParabolicType, None until a call first returns it;
-    order is |W|, the size of the regular orbit.
+    table (points, members, records).  points holds each parabolic's
+    (cochar, pairings), sorted by its nonnegative root indices; bit e of
+    members[i] is set when root i lies in parabolic e; records[e] is
+    parabolic e's ParabolicType, None until a call first returns it.
 
     Each standard cocharacter mu pairs >= 0 with the simple roots, so it is
     the dominant point of its W-orbit, and every orbit point is reached
@@ -391,11 +384,9 @@ def _torus_parabolics(datum: RootDatum, *, limit: int) -> tuple:
     The stabilizer of a standard parabolic in W fixes its mu, so the orbit
     points and the parabolics of that type correspond one to one.
 
-    The orbit of the regular cocharacter is closed first, and raises the
-    GuardError of weyl_group_elements as soon as it passes the limit.  A
-    call that raises stores nothing.  The limit is a guard, not part of
-    the memo key: there is one table per datum, and a later call with a
-    smaller limit is refused by comparing it with order."""
+    The orbit of the regular cocharacter, |W| points, is closed first, and
+    raises the GuardError of weyl_group_elements as soon as it passes the
+    limit, storing nothing."""
     steps = [(s, datum.coroots[s],
               operator.itemgetter(*_root_permutation_cached(datum, g)))
              for s, g in zip(datum.simple_roots, simple_coreflections(datum))]
@@ -425,20 +416,19 @@ def _torus_parabolics(datum: RootDatum, *, limit: int) -> tuple:
     for e, (nonneg, _, _) in enumerate(table):
         for i in nonneg:
             members[i] |= 1 << e
-    return (len(orbits[0]) if orbits else 0, [entry[1:] for entry in table],
-            tuple(members), [None] * len(table))
+    return [entry[1:] for entry in table], tuple(members), [None] * len(table)
 
 
 @per_datum
-def _stable_proper_parabolics(datum: RootDatum, w_matrix: Mat, *,
+def _stable_proper_parabolics(datum: RootDatum, w: WeylElement,
                               limit: int) -> tuple[ParabolicType, ...]:
     # w stabilizes a parabolic when its root permutation maps the
     # nonnegative roots onto themselves (normalizer_element_in_parabolic);
     # the permutation is a bijection, so exactly when no root and its image
     # disagree on membership: the OR over i of members[i] ^ members[perm[i]]
     # has bit e clear exactly for the stable parabolics e
-    _, points, members, records = _torus_parabolics(datum, limit=limit)
-    perm = _root_permutation_cached(datum, w_matrix)
+    points, members, records = _torus_parabolics(datum, limit)
+    perm = root_permutation(datum, w)
     stable = ~functools.reduce(operator.or_, map(
         operator.xor, members, map(members.__getitem__, perm)), 0)
     stable &= (1 << len(points)) - 1

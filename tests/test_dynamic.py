@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +114,28 @@ def test_frobenius_orbit_sum_rejects_nonpositive_count():
     datum = build_root_datum("GL2")
     with pytest.raises(ValueError):
         frobenius_orbit_sum(datum, (1, 0), weyl_identity(datum), 0)
+
+
+@pytest.mark.parametrize("lam, w_group, d, message", [
+    ((1.5, 0), "GL2", 2, "cocharacter entry 1.5 is not an integer"),
+    ((Fraction(1), 0), "GL2", 2,
+     "cocharacter entry Fraction(1, 1) is not an integer"),
+    ((True, 0), "GL2", 2, "cocharacter entry True is not an integer"),
+    ((1, 0, 0), "GL2", 1, "dimension mismatch: expected rank 2, got 3"),
+    ((1, 0), "GL3", 2, "Weyl matrix must be 2x2"),
+    ((1, 0), "GL2", True, "translate count must be an integer, got True"),
+    ((1, 0), "GL2", 2.5, "translate count must be an integer, got 2.5"),
+], ids=["float-entry", "Fraction-entry", "bool-entry", "wrong-length-at-d=1",
+        "w-of-another-rank", "bool-count", "float-count"])
+def test_frobenius_orbit_sum_refuses_what_is_not_integral(lam, w_group, d,
+                                                          message):
+    # each was once summed as given: (1.5, 0) came back (1.5, 1.5), a bool
+    # entry as an int, d = True as lam itself, and d = 1 returned a vector
+    # of any length unchecked
+    datum = build_root_datum("GL2")
+    w = weyl_from_word(build_root_datum(w_group), [0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        frobenius_orbit_sum(datum, lam, w, d)
 
 
 def test_normalizer_element_examples():

@@ -129,6 +129,18 @@ def test_regular_seed_examples():
         regular_seed(GL2, 3, 2, 5, (1, 0))
 
 
+@pytest.mark.parametrize("f, colabel, message", [
+    (2, 0.5, "colabel must be an integer, got 0.5"),
+    (2.0, 0, "f must be an integer, got 2.0"),
+    (2, True, "colabel must be an integer, got True"),
+    (2, 5, "colabel 5 out of range for f=2"),
+], ids=["float-colabel", "float-f", "bool-colabel", "out-of-range-colabel"])
+def test_regular_seed_refuses_counts_that_are_not_ints(f, colabel, message):
+    # a float raised TypeError indexing the slots, and True was colabel 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        regular_seed(GL2, 3, f, colabel, (1, 0))
+
+
 def test_canonical_regular_cochar_presets():
     expected = {
         "GL2": (1, 0),
@@ -563,6 +575,45 @@ def test_unramified_profile():
     assert profile.restrict(4) == 0
     with pytest.raises(ValueError):
         make_unramified_profile(0, 2)
+
+
+@pytest.mark.parametrize("num_labels, degree, message", [
+    (2.0, 3, "num_labels must be an integer, got 2.0"),
+    (2, 3.0, "degree must be an integer, got 3.0"),
+    (True, 3, "num_labels must be an integer, got True"),
+    (2, True, "degree must be an integer, got True"),
+    (0, 2, "num_labels and degree must be positive"),
+], ids=["float-labels", "float-degree", "bool-labels", "bool-degree",
+        "zero-labels"])
+def test_unramified_profile_refuses_counts_that_are_not_ints(num_labels,
+                                                             degree, message):
+    # a float raised TypeError from range, and True was taken as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_unramified_profile(num_labels, degree)
+
+
+@pytest.mark.parametrize("num_base_labels, d, message", [
+    (2.0, 2, "num_base_labels must be an integer, got 2.0"),
+    (2, 2.0, "d must be an integer, got 2.0"),
+    (True, 2, "num_base_labels must be an integer, got True"),
+    (2, True, "d must be an integer, got True"),
+    (2, 0, "degree must be a positive integer, got 0"),
+], ids=["float-labels", "float-degree", "bool-labels", "bool-degree",
+        "zero-degree"])
+def test_induced_lt_ht_refuses_counts_that_are_not_ints(num_base_labels, d,
+                                                        message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        induced_lt_ht(num_base_labels, d)
+
+
+@pytest.mark.parametrize("degree, restriction", [
+    (2.0, ((0, 0), (1, 0))), (True, ((0, 0), (1, 1)))], ids=["float", "bool"])
+def test_profile_refuses_a_degree_that_is_not_an_int(degree, restriction):
+    # both were accepted: every fiber size compared equal to them
+    with pytest.raises(ValueError, match=re.escape(
+            f"degree must be an integer, got {degree!r}")):
+        EmbeddingProfile(colabels=(0, 1), degree=degree,
+                         restriction=restriction)
 
 
 def test_profile_validation():

@@ -117,7 +117,7 @@ def test_packed_entries_are_keyed_by_width_alone():
         pairings = root_pairings(datum, y)
         if bits % 501 == 1:
             assert pairings == ref.root_pairings(datum, y)
-    widths = datum._memo[_packed_functionals]
+    widths = _packed_functionals(datum)
     widest = max(widths)
     assert all(k & (k - 1) == 0 for k in widths)
     # the bound 2 . 2^9999 needs k = 16384; the entries sit at log2(k) + 1

@@ -266,13 +266,28 @@ def test_lift_plan_is_read_only_inside_its_module(name):
 
 def test_datum_memo_is_touched_only_by_its_owners():
     # per_datum is the one way a table enters the memo; the datum creates
-    # and drops it, and the packed functionals keep their own entry
+    # and drops it
     assert _owners("_memo") == {
         ("root_datum.py", "RootDatum.__post_init__"),
         ("root_datum.py", "RootDatum.__getstate__"),
         ("root_datum.py", "per_datum"),
-        ("root_datum.py", "_packed_functionals"),
     }
+
+
+def test_per_datum_keys_on_positional_arguments_alone():
+    # the memo key is (fn, args): a keyword reaching fn but not the key
+    # could make one entry answer calls that differ in it
+    tree = ast.parse((PACKAGE_DIR / "root_datum.py").read_text())
+    [per_datum] = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "per_datum"]
+    [cached] = [node for node in per_datum.body
+                if isinstance(node, ast.FunctionDef)]
+    arguments = cached.args
+    assert [arg.arg for arg in arguments.posonlyargs + arguments.args] == \
+        ["datum"]
+    assert arguments.vararg is not None and arguments.vararg.arg == "args"
+    assert arguments.kwarg is None and arguments.kwonlyargs == []
 
 
 def test_regular_lift_is_reexported_as_one_object():

@@ -366,7 +366,7 @@ def test_parabolic_table_matches_per_w_scan():
                  else build_root_datum(name))
         candidates = reference_torus_parabolics(datum)
         for w in weyl_group_elements(datum):
-            table = _stable_proper_parabolics(datum, w.matrix, limit=limit)
+            table = _stable_proper_parabolics(datum, w, limit)
             reference = reference_stable_parabolics(candidates, datum, w)
             assert [parabolic_record(par) for par in table] == \
                 [parabolic_record(par) for par in reference], (name, w.word)
@@ -389,18 +389,18 @@ def _memo_keys(datum, fn):
             if isinstance(key, tuple) and key[0] is fn.__wrapped__]
 
 
-def test_parabolic_table_is_one_per_datum_whatever_the_limit():
+def test_parabolic_tables_are_keyed_on_the_limit():
     gl4 = build_root_datum("GL4")
     w = weyl_from_word(gl4, [1, 0, 2, 1])
     p = make_pair(gl4, 3, 2, (1, 2, 3, 6), w)
     found = [brute_force_parabolic_oracle(gl4, p, limit=limit)
              for limit in (None, 100, 24)]
     assert found[0] == found[1] == found[2] != []
-    assert len(_memo_keys(gl4, _torus_parabolics)) == 1
-    assert len(_memo_keys(gl4, _stable_proper_parabolics)) == 1
-    assert _torus_parabolics(gl4, limit=24)[0] == 24
+    # None stands for ORACLE_WEYL_CAP; each limit keeps its own table
+    assert sorted(key[1] for key in _memo_keys(gl4, _torus_parabolics)) == \
+        [(24,), (100,), (ORACLE_WEYL_CAP,)]
     memo = dict(gl4._memo)
-    # the table is built, but |W| = 24 still exceeds 23
+    # |W| = 24 exceeds 23: the orbit walk refuses it
     with pytest.raises(GuardError, match="^Weyl group of GL4 exceeds "
                        "enumeration limit 23$"):
         brute_force_parabolic_oracle(gl4, p, limit=23)
@@ -610,8 +610,7 @@ def reference_oracle(datum, p):
         raise ValueError(
             "oracle requires empty inertia centralizer roots; some root "
             "pairing with vbar vanishes mod N")
-    return list(_stable_proper_parabolics(datum, p.w.matrix,
-                                          limit=ORACLE_WEYL_CAP))
+    return list(_stable_proper_parabolics(datum, p.w, ORACLE_WEYL_CAP))
 
 
 def outcome(decide, datum, p):
