@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from .crystalline_lift import (
@@ -24,6 +23,7 @@ from .dynamic import chamber_sum, parabolic_of
 from .fixtures import run_fixture_suite
 from .hodge_tate import ht_type, is_ht_regular
 from .lattice import identity_matrix, mat_pow, mat_vec, vec_add, vec_scale
+from .record import record
 from .root_datum import (
     RootDatum,
     build_root_datum,
@@ -72,7 +72,7 @@ CRITERION_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     number: int
     name: str

@@ -15,7 +15,6 @@ failure prints one `error:` line, with no traceback unless --verbose.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -76,6 +75,8 @@ def _parse_vbar(text: str):
 def _parse_weyl(datum, text: str):
     text = text.strip()
     if text.startswith("["):
+        import json
+
         try:
             matrix = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -11,7 +11,6 @@ slot regular, both from one cached plan per configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, prod
 from operator import mod, mul, not_
@@ -38,6 +37,7 @@ from .lattice import (
     vec_scale,
     zero_vec,
 )
+from .record import record
 from .root_datum import (
     RootDatum,
     WeylElement,
@@ -63,7 +63,7 @@ EXHAUSTIVE_CAP = 2 * 10 ** 5
 SPLIT_FLOOR = 124
 
 
-@dataclass(frozen=True)
+@record
 class CrysCharTuple:
     """One cocharacter per colabel slot j in Z/f."""
 
@@ -107,7 +107,7 @@ def make_crys_tuple(datum: RootDatum, q: int, slots) -> CrysCharTuple:
     return CrysCharTuple(datum=datum, q=q, f=len(slots), slots=slots)
 
 
-@dataclass(frozen=True)
+@record
 class LiftResult:
     """A constructed lift together with re-verified soundness flags."""
 
@@ -207,7 +207,7 @@ def averaged_scale_matrix(w_matrix: Mat, q: int, f: int) -> Mat:
     return total
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class _LiftPlan:
     """What every lift, regularization and exactness check of one
     (datum, w, q, f) shares.  Slot j of the lift from a slot-0 seed y is
@@ -349,7 +349,7 @@ def lift_inertia(datum: RootDatum, p: TameInertialPair) -> LiftResult:
     return _checked_lift(datum, p, plan, x, "constructed lift")
 
 
-@dataclass(frozen=True)
+@record
 class RegularLiftResult(LiftResult):
     """A lift made Hodge-Tate regular by adding seed_multiplier . N times
     the averaged canonical seed."""

@@ -8,10 +8,9 @@ sums, which stand in for products of Frobenius translates of a cocharacter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ChamberMismatchError
 from .lattice import Vec, is_strict_int, vec_add
+from .record import record
 from .root_datum import (
     RootDatum,
     WeylElement,
@@ -22,7 +21,7 @@ from .root_datum import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ParabolicType:
     """Root-subset shadow of the parabolic attached to a cocharacter.
 
@@ -33,10 +32,18 @@ class ParabolicType:
     datum are meant to be compared.
     """
 
-    defining_cochar: Vec = field(compare=False)
+    defining_cochar: Vec
     nonneg_roots: frozenset[int]
-    levi_roots: frozenset[int] = field(compare=False)
-    unipotent_roots: frozenset[int] = field(compare=False)
+    levi_roots: frozenset[int]
+    unipotent_roots: frozenset[int]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nonneg_roots == other.nonneg_roots
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nonneg_roots,))
 
 
 def parabolic_of(datum: RootDatum, cochar: Vec) -> ParabolicType:

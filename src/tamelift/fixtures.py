@@ -6,7 +6,6 @@ recomputation byte-for-byte against the stored file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamic import (
@@ -24,6 +23,7 @@ from .hodge_tate import (
     regular_seed,
 )
 from .jsonio import canonical_json
+from .record import record
 from .root_datum import build_root_datum, weyl_from_word
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -94,7 +94,7 @@ FIXTURE_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FixtureOutcome:
     name: str
     passed: bool

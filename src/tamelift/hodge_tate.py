@@ -12,7 +12,6 @@ union divided by the degree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, filterfalse
 
 from .crystalline_lift import (
@@ -22,6 +21,7 @@ from .crystalline_lift import (
 )
 from .errors import MultisetDivisionError
 from .lattice import Vec, is_strict_int, require_ints, vec_neg, zero_vec
+from .record import record
 from .root_datum import (
     RootDatum,
     _all_regular,
@@ -31,7 +31,7 @@ from .root_datum import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class HTType:
     """One Hodge-Tate cocharacter per colabel j in Z/f."""
 
@@ -87,7 +87,7 @@ def regular_seed(datum: RootDatum, q: int, f: int, colabel: int,
 # ---------------------------------------------------------------------------
 # integer multisets
 
-@dataclass(frozen=True)
+@record
 class IntMultiset:
     """Finite multiset of integers, stored as a sorted tuple with
     repetitions."""
@@ -128,7 +128,7 @@ def multiset_divide(m: IntMultiset, s: int) -> IntMultiset:
 # ---------------------------------------------------------------------------
 # embedding profiles
 
-@dataclass(frozen=True)
+@record
 class EmbeddingProfile:
     """Finite model of coefficient-field embeddings over base embeddings:
     a surjection from colabels to labels with all fibers of equal size."""
@@ -143,6 +143,12 @@ class EmbeddingProfile:
         object.__setattr__(self, "restriction",
                            tuple(tuple(p) for p in self.restriction))
         res = dict(self.restriction)
+        # 1.0 and True equal, and hash as, the colabel 1: refused before
+        # the set and fiber checks below take them for it
+        for colabel in self.colabels:
+            require_ints(colabel=colabel)
+        for colabel, label in self.restriction:
+            require_ints(colabel=colabel, label=label)
         if set(res) != set(self.colabels) or len(res) != len(self.colabels):
             raise ValueError("restriction must be defined exactly on colabels")
         fibers = Counter(res.values())

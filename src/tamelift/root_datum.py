@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 
@@ -43,12 +42,13 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
+from .record import record
 
 PRESET_RANK_CAP = 8
 WEYL_GROUP_CAP = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     rank: int
     roots: tuple[Vec, ...]
@@ -95,7 +95,7 @@ def per_datum(fn):
     return cached
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class WeylElement:
     """Integer matrix acting on the cocharacter lattice, with an optional
     word in simple reflections recording how it was built.  A matrix that

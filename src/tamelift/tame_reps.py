@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from .dynamic import ParabolicType, split_by_sign
@@ -31,6 +30,7 @@ from .lattice import (
     vec_mod,
     vec_scale,
 )
+from .record import record
 from .root_datum import (
     RootDatum,
     WeylElement,
@@ -95,7 +95,7 @@ def _require_q_f(q: int, f: int) -> None:
             f"(q has {q.bit_length()} bits, f = {f})")
 
 
-@dataclass(frozen=True)
+@record
 class TameInertialPair:
     """The tuple (q, f, vbar, w); vbar is stored reduced to [0, N)."""
 
@@ -138,7 +138,7 @@ def make_pair(datum: RootDatum, q: int, f: int, vbar, w) -> TameInertialPair:
 # ---------------------------------------------------------------------------
 # validity
 
-@dataclass(frozen=True)
+@record
 class ValidityReport:
     """Outcome of the compatibility check.  Each failure is a triple
     (coordinate, value under the Weyl action, value scaled by q), both
@@ -204,7 +204,7 @@ def niveau(p: TameInertialPair) -> int:
     raise AssertionError("unreachable: q^f is 1 mod N")
 
 
-@dataclass(frozen=True)
+@record
 class WeylOrderReport:
     """Whether powers of w fall back to the identity at the niveau and at
     the full degree.  The degree power being the identity is the hypothesis
@@ -243,7 +243,7 @@ def inertia_centralizer_roots(datum: RootDatum,
         datum.roots, _packed_functionals(datum).products(vbar)) if not v % n])
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibilityResult:
     """Verdict with a certificate on failure: either a root killing vbar,
     or a noncentral w-fixed cocharacter cutting out a proper parabolic
@@ -252,6 +252,15 @@ class IrreducibilityResult:
     irreducible: bool
     failing_root: Vec | None = None
     fixed_cochar: Vec | None = None
+
+    def __init__(self, irreducible: bool, failing_root: Vec | None = None,
+                 fixed_cochar: Vec | None = None):
+        # built on every is_G_irreducible call: set directly, in under half
+        # the time of the shared record __init__
+        set_field = object.__setattr__
+        set_field(self, "irreducible", irreducible)
+        set_field(self, "failing_root", failing_root)
+        set_field(self, "fixed_cochar", fixed_cochar)
 
     def __bool__(self) -> bool:
         return self.irreducible

@@ -4,7 +4,6 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -173,7 +172,7 @@ def test_canonical_regular_cochar_falls_back_when_the_staircase_fails():
 def test_regular_lift_already_regular():
     result = regular_lift(GL2, make_pair(GL2, 3, 2, (1, 3), SWAP))
     assert type(result) is RegularLiftResult
-    assert [f.name for f in fields(result)] == [
+    assert list(result._fields) == [
         "tuple", "kernel_checked", "reduction_checked", "regular",
         "seed_multiplier"]
     assert result.seed_multiplier == 0
@@ -616,11 +615,31 @@ def test_profile_refuses_a_degree_that_is_not_an_int(degree, restriction):
                          restriction=restriction)
 
 
+@pytest.mark.parametrize("colabels, restriction, message", [
+    ((0, 1.5), ((0, 0), (1.5, 0)), "colabel must be an integer, got 1.5"),
+    ((0, True), ((0, 0), (True, 0)), "colabel must be an integer, got True"),
+    ((0, 1), ((0, 0), (1.0, 0)), "colabel must be an integer, got 1.0"),
+    ((0, 1), ((0, 0), (1, 0.0)), "label must be an integer, got 0.0"),
+    ((0, 1), ((0, False), (1, 0)), "label must be an integer, got False"),
+    ((0, 1), ((0, 0), (1, 0), (True, 0)),
+     "colabel must be an integer, got True"),
+], ids=["float-colabel", "bool-colabel", "float-restricted-colabel",
+        "float-label", "bool-label", "bool-duplicate-colabel"])
+def test_profile_refuses_colabels_and_labels_that_are_not_ints(
+        colabels, restriction, message):
+    # each was accepted, since only the degree's type was checked; 1.0 and
+    # True even equal the colabel 1, and 0.0 and False the label 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EmbeddingProfile(colabels=colabels, restriction=restriction, degree=2)
+
+
 def test_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "every fiber must have size 2, got {0: 2, 1: 1}")):
         EmbeddingProfile(colabels=(0, 1, 2), degree=2,
                          restriction=((0, 0), (1, 0), (2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^restriction must be defined "
+                       "exactly on colabels$"):
         EmbeddingProfile(colabels=(0, 1), degree=1,
                          restriction=((0, 0), (3, 1)))
 

@@ -45,7 +45,7 @@ def test_optimized_run_prints_the_same(argv):
 
 # modules a plain import loads: the benchmark's tracer wraps the functions
 # of loaded modules only; and the two that only selftest and fixtures need
-EAGER_MODULES = {"lattice", "root_datum", "dynamic", "tame_reps",
+EAGER_MODULES = {"lattice", "record", "root_datum", "dynamic", "tame_reps",
                  "crystalline_lift", "hodge_tate"}
 LAZY_MODULES = {"acceptance", "fixtures"}
 RUN_LIFT = """
@@ -96,9 +96,8 @@ def test_star_import_binds_every_public_name():
         tamelift.nothing
 
 
-def test_no_fractions_imports_in_package():
-    # the package computes over Z and Z/N only; Fraction references live
-    # in the tests
+def _package_imports_of(module: str) -> list[str]:
+    """Where a package module imports `module` or one of its submodules."""
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -109,9 +108,36 @@ def test_no_fractions_imports_in_package():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_fractions_imports_in_package():
+    # the package computes over Z and Z/N only; Fraction references live
+    # in the tests
+    assert _package_imports_of("fractions") == []
+
+
+def test_no_dataclasses_in_package():
+    # tamelift.record makes the value types; importing dataclasses loads
+    # inspect and ast, and each decoration execs its own methods, a
+    # quarter of a cold CLI call
+    assert _package_imports_of("dataclasses") == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # json is imported where JSON is read or written, so a cold call that
+    # does neither never loads it
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    script = ("import sys\nbefore = set(sys.modules)\nimport tamelift.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "tamelift.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "ast"}
 
 
 def test_no_determinant_in_package():
