@@ -25,6 +25,7 @@ from .lattice import (
     ModSolver,
     PackedRows,
     Vec,
+    _unpack_fields,
     identity_matrix,
     is_strict_int,
     mat_add,
@@ -250,10 +251,9 @@ class _LiftPlan:
         kernel_bits = k * len(columns)
         if (packed ^ high) & ((1 << kernel_bits) - 1):
             return False
-        packed >>= kernel_bits
-        mask, half, n = (1 << k) - 1, 1 << k - 1, self.modulus
-        return tuple([((packed >> shift & mask) - half) % n
-                      for shift in range(0, k * len(vbar), k)]) == vbar
+        n = self.modulus
+        return tuple([v % n for v in _unpack_fields(
+            packed >> kernel_bits, high >> kernel_bits, k, len(vbar))]) == vbar
 
 
 @per_datum

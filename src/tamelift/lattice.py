@@ -5,6 +5,8 @@ Matrices are tuples of row tuples.
 """
 from __future__ import annotations
 
+import struct
+import sys
 from math import gcd, prod
 from operator import add, lshift, mul, neg, sub
 
@@ -134,10 +136,12 @@ class PackedRows(dict):
     on first use: self[k] = (columns, low, high, k).  Column c is
     sum_i rows[i][c] . 2^(k.i), so sum_c y_c . column_c holds row_i . y in
     field i; low has a 1 and high a 2^(k-1) in each field.  `at(size)` takes
-    the least power of two k with 2^(k-1) > (largest L1 norm of a row) .
-    size, which bounds every |row_i . y| when no |y_c| exceeds size, so each
-    field of sum_c y_c . column_c + high lies in [1, 2^k).  Keyed by k
-    alone, there are at most log2(widest k) + 1 entries."""
+    the least power of two k >= 8 with 2^(k-1) > (largest L1 norm of a
+    row) . size, which bounds every |row_i . y| when no |y_c| exceeds size,
+    so each field of sum_c y_c . column_c + high lies in [1, 2^k).  Every
+    width is a whole number of bytes, and `_unpack_fields` reads the fields
+    of one up to 64 bits wide with one cast.  Keyed by k alone, there are
+    at most log2(widest k) + 1 entries."""
 
     __slots__ = ("rows", "norm")
 
@@ -154,15 +158,32 @@ class PackedRows(dict):
         return entry
 
     def at(self, size: int) -> tuple[Vec, int, int, int]:
-        return self[1 << (self.norm * size).bit_length().bit_length()]
+        return self[1 << max(3, (self.norm * size).bit_length().bit_length())]
 
     def products(self, y: Vec) -> Vec:
         """Every row . y, in row order, off one product at y's width."""
         columns, _, high, k = self.at(max(map(abs, y)) if y else 0)
-        packed = sum(map(mul, y, columns)) + high
-        mask, half = (1 << k) - 1, 1 << k - 1
-        return tuple([(packed >> shift & mask) - half
-                      for shift in range(0, k * len(self.rows), k)])
+        return _unpack_fields(sum(map(mul, y, columns)) + high, high, k,
+                             len(self.rows))
+
+
+# the native signed format of each item size struct offers, in bytes
+_SIGNED_FORMATS = {struct.calcsize(code): code for code in "bhilq"}
+
+
+def _unpack_fields(packed: int, high: int, k: int, count: int) -> Vec:
+    """The low `count` k-bit fields of packed, each less the 2^(k-1) that
+    high holds in it, low field first.  With each field in [1, 2^k), packed
+    xor high holds every value in k-bit two's complement and no carry
+    crosses a field, so for k of 8 to 64 one native signed cast reads them
+    all; wider fields are read one by one."""
+    code = _SIGNED_FORMATS.get(k >> 3)
+    if code is not None:
+        return tuple(memoryview((packed ^ high).to_bytes(
+            (k >> 3) * count, sys.byteorder)).cast(code).tolist())
+    mask, half = (1 << k) - 1, 1 << k - 1
+    return tuple([(packed >> shift & mask) - half
+                  for shift in range(0, k * count, k)])
 
 
 # ---------------------------------------------------------------------------

@@ -611,14 +611,22 @@ def _root_permutation_cached(datum: RootDatum, matrix: Mat) -> tuple[int, ...]:
     # functional times the matrix is alpha's functional; the pairing is
     # nondegenerate, so this pins it down and makes the map injective.
     # Column c of functionals . matrix pairs every root with column c of the
-    # matrix, so the pulled-back functionals (its rows) take r pairings.
-    index = _coroot_index_map(datum)
-    perm = [index.get(mat_vec(matrix, alpha_v)) for alpha_v in datum.coroots]
-    if not perm:
+    # matrix, so the pulled-back functionals (its rows) take r packed
+    # products.  The matrix is an int matrix (a WeylElement's or a product
+    # of them), so once its row lengths are checked the images are built
+    # inline and the products need no entry check.
+    if not datum.coroots:
         return ()
+    rank = datum.rank
+    for row in matrix:
+        if len(row) != rank:
+            raise ValueError(f"dimension mismatch: {len(row)} vs {rank}")
+    index = _coroot_index_map(datum)
+    perm = [index.get(tuple([sum(map(mul, row, alpha_v)) for row in matrix]))
+            for alpha_v in datum.coroots]
     functionals = root_functionals(datum)
-    pulled_back = tuple(zip(*[root_pairings(datum, column)
-                              for column in zip(*matrix)]))
+    products = _packed_functionals(datum).products
+    pulled_back = tuple(zip(*[products(column) for column in zip(*matrix)]))
     for i, j in enumerate(perm):
         if j is None:
             raise ValueError(f"matrix sends coroot {datum.coroots[i]} "

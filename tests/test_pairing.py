@@ -12,6 +12,7 @@ import pytest
 from fraction_reference import sheared_gl3
 
 from tamelift.hodge_tate import HTType, is_ht_regular
+from tamelift.lattice import PackedRows
 from tamelift.root_datum import (
     _all_regular,
     _packed_functionals,
@@ -111,7 +112,7 @@ def test_packed_entries_are_keyed_by_width_alone():
     gl3 = build_root_datum("GL3")
     datum = make_root_datum(gl3.rank, gl3.roots, gl3.coroots, gl3.pairing,
                             gl3.simple_roots, label="GL3/packing-test")
-    # every third bit count meets every width from 4 to 16384
+    # every third bit count meets every width from 8 to 16384
     for bits in range(1, 10_001, 3):
         y = (1 << bits - 1, -1, 0)
         pairings = root_pairings(datum, y)
@@ -121,10 +122,10 @@ def test_packed_entries_are_keyed_by_width_alone():
     widest = max(widths)
     assert all(k & (k - 1) == 0 for k in widths)
     # the bound 2 . 2^9999 needs k = 16384; the entries sit at log2(k) + 1
-    # widths at most, here 4, 8, ..., 16384
+    # widths at most, here 8, 16, ..., 16384
     assert widest == 16384
     assert len(widths) <= widest.bit_length()
-    assert sorted(widths) == [1 << j for j in range(2, 15)]
+    assert sorted(widths) == [1 << j for j in range(3, 15)]
 
 
 @pytest.mark.parametrize("entry", [1.0, 2.5, True, Fraction(1)],
@@ -161,3 +162,58 @@ def test_ht_regularity_checks_every_slot_at_one_width():
     with pytest.raises(ValueError, match="dimension mismatch"):
         is_ht_regular(gl2, HTType(f=1, cochars=((1, 2, 3),)))
 
+
+
+# ---------------------------------------------------------------------------
+# the field decode of PackedRows.products, on rows of its own
+
+
+def _dots(rows, y):
+    return tuple(sum(a * b for a, b in zip(row, y)) for row in rows)
+
+
+def _width_cases(k, rng):
+    """(rows, y) pairs that PackedRows reads at width k.  First the extreme
+    fields +-(2^(k-1) - 1), alone and beside each other; then random rows
+    with a y whose bound (largest L1 norm of a row) . (largest |entry|)
+    has k/2 to k-1 bits (1 to 7 at k = 8), the bounds that choose k."""
+    top = (1 << k - 1) - 1
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1), (0, 0))
+    cases = [(((1,),), (top,)), (((1,),), (-top,)),
+             (((1,), (-1,), (0,)), (top,)), (units, (top, -top)),
+             (units, (-top, top))]
+    low = 1 if k == 8 else 1 << k // 2 - 1
+    for _ in range(40):
+        rank = rng.randint(1, 6)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(rank))
+                     for _ in range(rng.randint(1, 20)))
+        norm = max(sum(map(abs, row)) for row in rows)
+        if not norm:
+            continue
+        size = rng.randint(-(-low // norm), ((1 << k - 1) - 1) // norm)
+        y = [rng.randint(-size, size) for _ in range(rank)]
+        y[rng.randrange(rank)] = rng.choice((-size, size))
+        cases.append((rows, tuple(y)))
+    return cases
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
+def test_packed_products_match_the_dot_products_at_every_width(k):
+    # 8 to 64 bits are read by one signed cast, wider fields one by one
+    for rows, y in _width_cases(k, random.Random(k)):
+        packed = PackedRows(rows)
+        assert packed.at(max(map(abs, y)))[3] == k
+        products = packed.products(y)
+        assert products == _dots(rows, y), (rows, y)
+        assert type(products) is tuple
+        assert all(type(v) is int for v in products)
+
+
+@pytest.mark.parametrize("rows, y", [
+    ((), (1, -2)), ((), ()), (((), ()), ()), (((3, -1),), (2, 5)),
+    (((0, 0),), (0, 0)), (((-7,),), (-9,))])
+def test_packed_products_of_no_rows_one_row_and_an_empty_vector(rows, y):
+    products = PackedRows(rows).products(y)
+    assert products == _dots(rows, y)
+    assert type(products) is tuple
+    assert all(type(v) is int for v in products)

@@ -26,7 +26,13 @@ from tamelift.crystalline_lift import lift_inertia, simple_trick_check
 from tamelift.errors import DatumValidationError, GuardError
 from tamelift.hodge_tate import regular_lift
 from tamelift.jsonio import canonical_json
-from tamelift.lattice import dot, integer_kernel_basis, mat_pow, mat_vec
+from tamelift.lattice import (
+    dot,
+    identity_matrix,
+    integer_kernel_basis,
+    mat_pow,
+    mat_vec,
+)
 from tamelift.root_datum import (
     WEYL_GROUP_CAP,
     WeylElement,
@@ -551,6 +557,25 @@ def test_root_permutation_matches_the_per_root_reference():
         for w in weyl_group_elements(datum):
             assert root_permutation(datum, w) == \
                 permutation_reference.root_permutation(datum, w.matrix)
+
+
+def test_root_permutation_refuses_a_matrix_of_another_rank():
+    # the row lengths are checked once, before any image is built; a datum
+    # without roots has the empty permutation whatever the matrix
+    for name, matrix, expected in [
+            ("GL2", identity_matrix(3), "dimension mismatch: 3 vs 2"),
+            ("G2", identity_matrix(1), "dimension mismatch: 1 vs 2"),
+            ("Sp4", ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+             "dimension mismatch: 3 vs 2")]:
+        datum = build_root_datum(name)
+        for call in (lambda: root_permutation(datum, WeylElement(matrix)),
+                     lambda: permutation_reference.root_permutation(datum,
+                                                                    matrix)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == expected
+    assert root_permutation(build_root_datum("GL1"),
+                            WeylElement(identity_matrix(2))) == ()
 
 
 def elementary_products(rank, rng, count):

@@ -202,6 +202,49 @@ def test_integer_kernels_sum_no_generator_expressions():
     assert offenders == []
 
 
+def _field_decodes(tree):
+    """The memoryview references in tree, and its comprehensions whose
+    element both shifts right and masks: the two ways to read a packed
+    product's fields."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp,
+                      ast.GeneratorExp)
+    for node in ast.walk(tree):
+        if getattr(node, "id", None) == "memoryview":
+            yield node
+        elif isinstance(node, comprehensions) and {ast.RShift, ast.BitAnd} <= {
+                type(sub.op) for sub in ast.walk(node)
+                if isinstance(sub, ast.BinOp)}:
+            yield node
+
+
+def test_packed_fields_are_decoded_only_in_lattice():
+    # lattice._unpack_fields reads every PackedRows product, one cast up to
+    # 64 bits and a shift-and-mask loop beyond; a second decode elsewhere
+    # would read the field layout a second way.  The exhaustive count's
+    # residue reduction ((t + fix) & high) >> shift works on whole packed
+    # vectors and reads no field, so it is not one
+    owners = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        outside = {id(node) for node in _field_decodes(tree)}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                inside = {id(node) for node in _field_decodes(function)}
+                if inside:
+                    owners.add((path.name, function.name))
+                outside -= inside
+        if outside:
+            owners.add((path.name, "<module>"))
+    assert owners == {("lattice.py", "_unpack_fields")}
+    lift_tree = ast.parse((PACKAGE_DIR / "crystalline_lift.py").read_text())
+    [count] = [node for node in ast.walk(lift_tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_count_kernel_mod"]
+    assert {ast.RShift, ast.BitAnd} <= {type(node.op)
+                                        for node in ast.walk(count)
+                                        if isinstance(node, ast.BinOp)}
+
+
 def _references(tree, name):
     return [node.lineno for node in ast.walk(tree)
             if getattr(node, "attr", None) == name
